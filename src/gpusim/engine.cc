@@ -16,19 +16,19 @@
  *    function of time (compute dims) or of the global memory virtual
  *    time S = integral of global_mem_scale dt (memory dims), so a
  *    unit is only touched when its own SM changes.
- *  - Completions come from two min-heaps keyed by real time (compute)
- *    and by S (memory). Keying memory drains in S makes a change of
- *    the global HBM scale O(1): it re-times every pending memory
- *    completion without touching a single heap entry. The heaps hold
- *    one entry per SM (the minimum over that SM's residents), not one
- *    per unit: a recompute pushes at most two entries per dirty SM
- *    instead of two per resident, and a pop rediscovers the due units
- *    with an O(residents) scan — a cost the recompute pays anyway.
- *    Per-unit keys live in flat arrays between recomputes.
+ *  - Completions come from two indexed SM trees (sm_key_tree.h), one
+ *    keyed by real time (compute) and one by S (memory). Keying
+ *    memory drains in S makes a change of the global HBM scale O(1):
+ *    it re-times every pending memory completion without touching a
+ *    single key. Each tree holds one key per SM (the minimum over
+ *    that SM's residents), not one per unit: a recompute re-keys its
+ *    SM in place, an SM event clears the SM's keys, and the root is
+ *    the next event, in (key, sm) order. The SM event rediscovers the
+ *    due units with an O(residents) scan — a cost the recompute pays
+ *    anyway. Per-unit keys live in flat arrays between recomputes.
  *  - Rates are recomputed only for SMs whose demand set changed
  *    (dispatch, drain, phase/refill transition, retirement), via the
- *    same per-SM cap/water-fill arithmetic as the oracle. Per-SM
- *    generation counters lazily invalidate superseded heap entries.
+ *    same per-SM cap/water-fill arithmetic as the oracle.
  *  - Accounting is O(op classes) per event: per-op rate sums are
  *    maintained incrementally and multiplied by dt (or dS for memory
  *    terms) per interval.
@@ -48,11 +48,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "common/logging.h"
 #include "gpusim/engine_internal.h"
+#include "gpusim/sm_key_tree.h"
 #include "gpusim/water_fill.h"
 
 namespace pod::gpusim {
@@ -60,28 +60,6 @@ namespace pod::gpusim {
 namespace detail {
 
 namespace {
-
-/** One pending SM event: min key (time or S) over residents. */
-struct HeapEntry
-{
-    double key = 0.0;
-    int sm = -1;
-    uint32_t gen = 0;
-};
-
-/** Min-heap order on (key, sm): deterministic for equal keys. */
-struct EntryAfter
-{
-    bool
-    operator()(const HeapEntry& a, const HeapEntry& b) const
-    {
-        if (a.key != b.key) return a.key > b.key;
-        return a.sm > b.sm;
-    }
-};
-
-using EventHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, EntryAfter>;
 
 /** Full analytic-core state; one instance per Run call. */
 class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
@@ -92,12 +70,13 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
   public:
     AnalyticSimulation(const GpuSpec& spec, const SimOptions& options,
                        const std::vector<KernelLaunch>& launches)
-        : Base(spec, options, launches)
+        : Base(spec, options, launches),
+          comp_tree_(spec_.num_sms),
+          mem_tree_(spec_.num_sms)
     {
         size_t num_sms = static_cast<size_t>(spec_.num_sms);
         sm_mem_want_.assign(num_sms, 0.0);
         sm_dirty_.assign(num_sms, 0);
-        sm_gen_.assign(num_sms, 1);
         dirty_sms_.reserve(num_sms);
     }
 
@@ -142,7 +121,7 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         last_s_.push_back(s_time_);
         sms_[static_cast<size_t>(us.sm)].active_units.push_back(uid);
         ++num_active_;
-        // Rates and heap entries come from the RecomputeDirty pass
+        // Rates and event keys come from the RecomputeDirty pass
         // that follows every dispatch (OnSmTouched below).
         return true;
     }
@@ -213,7 +192,7 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
     }
 
     /**
-     * Recompute rates, per-op sums and heap entries for every queued
+     * Recompute rates, per-op sums and event keys for every queued
      * dirty SM: materialize residents, redo the memory split (per-unit
      * cap, per-SM cap, incremental global want), then the demand-aware
      * compute water-fill — the same arithmetic the oracle runs, just
@@ -256,7 +235,7 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
 
         // Pass B: compute water-fill per dirty SM (needs the new
         // global scale for the pacing caps), then refresh each
-        // resident's aggregate contribution and heap entries.
+        // resident's aggregate contribution and the SM's event keys.
         for (int s : dirty_sms_) {
             sm_dirty_[static_cast<size_t>(s)] = 0;
             const auto& list = sms_[static_cast<size_t>(s)].active_units;
@@ -320,7 +299,6 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
                                });
             }
 
-            uint32_t g = ++sm_gen_[static_cast<size_t>(s)];
             double sm_ckey = kInf;
             double sm_mkey = kInf;
             for (int uid : list) {
@@ -376,12 +354,8 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
                 sm_ckey = std::min(sm_ckey, comp_key_[i]);
                 sm_mkey = std::min(sm_mkey, mem_key_[i]);
             }
-            if (sm_ckey < kInf) {
-                comp_heap_.push(HeapEntry{sm_ckey, s, g});
-            }
-            if (sm_mkey < kInf) {
-                mem_heap_.push(HeapEntry{sm_mkey, s, g});
-            }
+            comp_tree_.Set(s, sm_ckey);
+            mem_tree_.Set(s, sm_mkey);
         }
         dirty_sms_.clear();
 
@@ -459,30 +433,6 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         s_time_ += ds;
     }
 
-    /** Next valid compute-drain time (pops stale entries). */
-    double
-    PeekCompKey()
-    {
-        while (!comp_heap_.empty() &&
-               comp_heap_.top().gen !=
-                   sm_gen_[static_cast<size_t>(comp_heap_.top().sm)]) {
-            comp_heap_.pop();
-        }
-        return comp_heap_.empty() ? kInf : comp_heap_.top().key;
-    }
-
-    /** Next valid memory-drain S key (pops stale entries). */
-    double
-    PeekMemKey()
-    {
-        while (!mem_heap_.empty() &&
-               mem_heap_.top().gen !=
-                   sm_gen_[static_cast<size_t>(mem_heap_.top().sm)]) {
-            mem_heap_.pop();
-        }
-        return mem_heap_.empty() ? kInf : mem_heap_.top().key;
-    }
-
     /**
      * A due unit (own key reached): materialize it and either advance
      * it past the drained phase or leave the partial drain for the
@@ -517,15 +467,16 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
     }
 
     /**
-     * An SM's heap entry came due: scan its residents for units whose
-     * own key is due and handle each. The SM's rates are stale
-     * afterwards, so its entries are invalidated and re-pushed by the
-     * recompute queued below.
+     * An SM's event came due: scan its residents for units whose own
+     * key is due and handle each. The SM's rates are stale afterwards,
+     * so both of its keys are cleared until the recompute queued below
+     * re-keys it.
      */
     void
     HandleSmEvent(int s)
     {
-        ++sm_gen_[static_cast<size_t>(s)];  // stale the sibling entry
+        comp_tree_.Set(s, kInf);
+        mem_tree_.Set(s, kInf);
         const auto& list = sms_[static_cast<size_t>(s)].active_units;
         due_scratch_.clear();
         for (int uid : list) {
@@ -542,36 +493,21 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         OnSmTouched(s);
     }
 
-    /** Pop and handle every SM entry due at (now, s_time_). */
+    /**
+     * Handle every SM event due at (now, s_time_): all due compute
+     * events first, then memory events, each in (key, sm) order.
+     */
     void
     ProcessDueEvents()
     {
         for (;;) {
-            if (!comp_heap_.empty()) {
-                HeapEntry top = comp_heap_.top();
-                if (top.gen != sm_gen_[static_cast<size_t>(top.sm)]) {
-                    comp_heap_.pop();
-                    continue;
-                }
-                if (top.key <= now_) {
-                    comp_heap_.pop();
-                    HandleSmEvent(top.sm);
-                    continue;
-                }
+            if (comp_tree_.MinKey() <= now_) {
+                HandleSmEvent(comp_tree_.MinSm());
+            } else if (mem_tree_.MinKey() <= s_time_) {
+                HandleSmEvent(mem_tree_.MinSm());
+            } else {
+                break;
             }
-            if (!mem_heap_.empty()) {
-                HeapEntry top = mem_heap_.top();
-                if (top.gen != sm_gen_[static_cast<size_t>(top.sm)]) {
-                    mem_heap_.pop();
-                    continue;
-                }
-                if (top.key <= s_time_) {
-                    mem_heap_.pop();
-                    HandleSmEvent(top.sm);
-                    continue;
-                }
-            }
-            break;
         }
     }
 
@@ -621,7 +557,7 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
     std::vector<double> old_c_;
     std::vector<double> old_mp_;
     /** Pending per-unit keys: next compute drain (time) and next
-     *  memory drain (S); kInf when none. The heaps carry only the
+     *  memory drain (S); kInf when none. The SM trees carry only the
      *  per-SM minima of these. */
     std::vector<double> comp_key_;
     std::vector<double> mem_key_;
@@ -629,8 +565,6 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
     // ---- per-SM rate-cache state ----
     std::vector<double> sm_mem_want_;
     std::vector<uint8_t> sm_dirty_;
-    /** Heap-entry validity generation per SM. */
-    std::vector<uint32_t> sm_gen_;
     std::vector<int> dirty_sms_;
     /** Scratch for HandleSmEvent (cleared, never reallocated). */
     std::vector<int> due_scratch_;
@@ -649,8 +583,9 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
 
     int num_active_ = 0;
 
-    EventHeap comp_heap_;
-    EventHeap mem_heap_;
+    /** Per-SM next compute-drain time and next memory-drain S. */
+    SmKeyTree comp_tree_;
+    SmKeyTree mem_tree_;
 
     // Per-op rate sums for O(op classes) interval accounting.
     std::array<double, kNumOpClasses> sum_rt_ = {};
@@ -695,8 +630,8 @@ AnalyticSimulation::Run()
             continue;
         }
 
-        double t_comp = PeekCompKey();
-        double s_next = PeekMemKey();
+        double t_comp = comp_tree_.MinKey();
+        double s_next = mem_tree_.MinKey();
         double t_mem = kInf;
         if (s_next < kInf) {
             t_mem = s_next <= s_time_
@@ -708,8 +643,8 @@ AnalyticSimulation::Run()
             // Active units but no pending completion: recover with a
             // full rescan (counted), then fail loudly if still stuck.
             ForceGlobalRecompute();
-            t_comp = PeekCompKey();
-            s_next = PeekMemKey();
+            t_comp = comp_tree_.MinKey();
+            s_next = mem_tree_.MinKey();
             POD_ASSERT_MSG(std::min(t_comp, s_next) < kInf,
                            "starvation: active units with zero rates "
                            "at t=%g",

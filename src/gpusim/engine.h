@@ -39,8 +39,9 @@ namespace pod::gpusim {
  * advanced between events:
  *
  *  - kAnalytic (default): closed-form integration. Rates are frozen
- *    per interval and completion times come from two event heaps, so
- *    an event costs O(touched SM) instead of O(active units). Pacing
+ *    per interval and completion times come from two per-SM event
+ *    trees, so an event costs O(touched SM) instead of O(active
+ *    units). Pacing
  *    caps refresh at every transition on the unit's SM rather than at
  *    every global event -- a deliberate, tolerance-banded model
  *    relaxation (docs/DESIGN.md S3.2).

@@ -24,6 +24,14 @@
  * The base is header-only and CRTP (no virtual dispatch), so the
  * oracle compiles to exactly the pre-split code: its bit-identical
  * regression pins (tests/gpusim/engine_regression_test.cc) still hold.
+ *
+ * Placement is indexed: each kernel keeps a bitset of the SMs its CTA
+ * footprint fits on, refreshed for the one SM a dispatch or retirement
+ * changes. PickSm walks that bitset with count-trailing-zeros in the
+ * same circular order as a linear first-fit scan from the round-robin
+ * pointer, so it picks the same SMs and makes the same RNG draws, and
+ * a placement that fails because the GPU is full costs O(words)
+ * instead of O(SMs).
  */
 #ifndef POD_GPUSIM_ENGINE_INTERNAL_H
 #define POD_GPUSIM_ENGINE_INTERNAL_H
@@ -164,6 +172,11 @@ class SimulationBase
             streams_[static_cast<size_t>(launches[i].stream)]
                 .kernels.push_back(static_cast<int>(i));
         }
+        fit_stride_ = (num_sms + 63) / 64;
+        fit_words_.assign(kernels_.size() * fit_stride_, 0);
+        for (int sm = 0; sm < spec_.num_sms; ++sm) {
+            RefreshFit(sm);
+        }
         // Arm the head kernel of every stream.
         for (auto& stream : streams_) {
             ArmHead(stream, 0.0);
@@ -212,6 +225,40 @@ class SimulationBase
         return true;
     }
 
+    /** Re-derive the SM's fit bit for every kernel; called whenever
+     *  the SM's occupancy changes. */
+    void
+    RefreshFit(int sm_id)
+    {
+        const SmState& sm = sms_[static_cast<size_t>(sm_id)];
+        const size_t word = static_cast<size_t>(sm_id) / 64;
+        const uint64_t bit = uint64_t{1} << (sm_id % 64);
+        for (size_t k = 0; k < kernels_.size(); ++k) {
+            uint64_t& w = fit_words_[k * fit_stride_ + word];
+            if (Fits(sm, *kernels_[k].desc, static_cast<int>(k))) {
+                w |= bit;
+            } else {
+                w &= ~bit;
+            }
+        }
+    }
+
+    /** Lowest SM in [from, to) whose bit is set; -1 if none. */
+    static int
+    FirstFitIn(const uint64_t* words, int from, int to)
+    {
+        if (from >= to) return -1;
+        int w = from / 64;
+        const int last = (to - 1) / 64;
+        uint64_t bits = words[w] & (~uint64_t{0} << (from % 64));
+        while (bits == 0) {
+            if (++w > last) return -1;
+            bits = words[w];
+        }
+        int sm = w * 64 + __builtin_ctzll(bits);
+        return sm < to ? sm : -1;
+    }
+
     /**
      * Choose an SM for the next CTA: first fit scanning round-robin
      * from a rotating pointer (models the hardware work distributor),
@@ -219,28 +266,29 @@ class SimulationBase
      * probability. Returns -1 if nothing fits.
      */
     int
-    PickSm(const KernelDesc& desc, int kernel_id)
+    PickSm(int kernel_id)
     {
-        int first_fit = -1;
-        int second_fit = -1;
-        for (int off = 0; off < spec_.num_sms; ++off) {
-            int sm = (rr_pointer_ + off) % spec_.num_sms;
-            if (Fits(sms_[static_cast<size_t>(sm)], desc, kernel_id)) {
-                if (first_fit < 0) {
-                    first_fit = sm;
-                    if (options_.placement_jitter <= 0.0) break;
-                } else {
-                    second_fit = sm;
-                    break;
-                }
-            }
-        }
+        const uint64_t* fit =
+            &fit_words_[static_cast<size_t>(kernel_id) * fit_stride_];
+        const int n = spec_.num_sms;
+        // Circular order from the pointer: [rr, n), then [0, rr).
+        int first_fit = FirstFitIn(fit, rr_pointer_, n);
+        const bool wrapped = first_fit < 0;
+        if (wrapped) first_fit = FirstFitIn(fit, 0, rr_pointer_);
         if (first_fit < 0) return -1;
         int chosen = first_fit;
-        if (second_fit >= 0 && rng_.Bernoulli(options_.placement_jitter)) {
-            chosen = second_fit;
+        if (options_.placement_jitter > 0.0) {
+            int second_fit =
+                FirstFitIn(fit, first_fit + 1, wrapped ? rr_pointer_ : n);
+            if (second_fit < 0 && !wrapped) {
+                second_fit = FirstFitIn(fit, 0, rr_pointer_);
+            }
+            if (second_fit >= 0 &&
+                rng_.Bernoulli(options_.placement_jitter)) {
+                chosen = second_fit;
+            }
         }
-        rr_pointer_ = (chosen + 1) % spec_.num_sms;
+        rr_pointer_ = (chosen + 1) % n;
         return chosen;
     }
 
@@ -300,7 +348,7 @@ class SimulationBase
     {
         KernelState& ks = kernels_[static_cast<size_t>(kernel_id)];
         const KernelDesc& desc = *ks.desc;
-        int sm_id = PickSm(desc, kernel_id);
+        int sm_id = PickSm(kernel_id);
         if (sm_id < 0) return false;
 
         SmState& sm = sms_[static_cast<size_t>(sm_id)];
@@ -308,6 +356,7 @@ class SimulationBase
         sm.free_smem -= desc.resources.shared_mem_bytes;
         sm.resident_ctas += 1;
         sm.kernel_resident[static_cast<size_t>(kernel_id)] += 1;
+        RefreshFit(sm_id);
 
         if (!ks.started) {
             ks.started = true;
@@ -384,6 +433,7 @@ class SimulationBase
         sm.free_smem += cta.smem;
         sm.resident_ctas -= 1;
         sm.kernel_resident[static_cast<size_t>(cta.kernel)] -= 1;
+        RefreshFit(cta.sm);
         if (options_.record_cta_times) {
             result_.cta_finish_times.push_back(now);
         }
@@ -530,6 +580,10 @@ class SimulationBase
     std::vector<UnitState> units_;
     /** Arena backing every unit's phase list (grows per dispatch). */
     std::vector<Phase> phase_arena_;
+    /** Fit bitsets: kernel k's words are [k * fit_stride_, +fit_stride_),
+     *  bit sm set iff Fits(sms_[sm], kernel k). */
+    std::vector<uint64_t> fit_words_;
+    size_t fit_stride_ = 0;
     int rr_pointer_ = 0;
     int total_ctas_ = 0;
     size_t finished_kernels_ = 0;

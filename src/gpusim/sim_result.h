@@ -85,7 +85,7 @@ struct SimResult
 
     /**
      * Events the analytic core advanced with closed-form integration
-     * (one per heap-driven event-loop iteration). Zero under the
+     * (one per event-loop iteration). Zero under the
      * ExactOracle core.
      */
     long analytic_fastpath_events = 0;

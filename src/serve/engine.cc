@@ -66,6 +66,23 @@ ServingEngine::ServingEngine(ServingConfig config,
     Reset();
 }
 
+size_t
+ServingEngine::AttnSignatureHash::operator()(const AttnSignature& sig) const
+{
+    // Spread the fields (SplitMix64 finalizer); hits are decided by
+    // AttnSignature equality, so the key itself never aliases.
+    uint64_t z = (static_cast<uint64_t>(static_cast<uint32_t>(sig.chunk))
+                  << 32) |
+                 static_cast<uint32_t>(sig.kv);
+    z = z * 0x9E3779B97F4A7C15ull ^
+        ((static_cast<uint64_t>(static_cast<uint32_t>(sig.decode_bs))
+          << 32) |
+         static_cast<uint32_t>(sig.context));
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return static_cast<size_t>(z ^ (z >> 31));
+}
+
 double
 ServingEngine::CachedAttnLayerTime(int chunk_len, int kv_len,
                                    int decode_bs, int mean_context)
@@ -81,14 +98,7 @@ ServingEngine::CachedAttnLayerTime(int chunk_len, int kv_len,
     if (dbs == 0) ctx = 0;
     if (chunk == 0 && dbs == 0) return 0.0;
 
-    uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(chunk))
-                    << 40) ^
-                   (static_cast<uint64_t>(static_cast<uint32_t>(kv))
-                    << 20) ^
-                   (static_cast<uint64_t>(static_cast<uint32_t>(dbs))
-                    << 44) ^
-                   (static_cast<uint64_t>(static_cast<uint32_t>(ctx)) *
-                    0x9E3779B97F4A7C15ull);
+    const AttnSignature key{chunk, kv, dbs, ctx};
     if (config_.attn_cache_enabled) {
         auto it = attn_cache_.find(key);
         if (it != attn_cache_.end()) {

@@ -349,6 +349,15 @@ class ServingEngine
     /** Swap transfer time charged since the last Reset() (seconds). */
     double SwapTimeTotal() const { return swap_time_total_; }
 
+    /**
+     * Per-layer attention time of a hybrid batch signature: total
+     * chunk tokens, max chunk context, decode count and mean decode
+     * context. The signature is bucketed (ServingConfig::*_bucket)
+     * and the simulated time memoized per bucketed signature.
+     */
+    double CachedAttnLayerTime(int chunk_len, int kv_len, int decode_bs,
+                               int mean_context);
+
     /** Attention memo-cache entries created so far. */
     size_t AttnCacheSize() const { return attn_cache_.size(); }
 
@@ -398,9 +407,26 @@ class ServingEngine
     const telemetry::TraceRecorder* Trace() const { return trace_; }
 
   private:
-    /** Memoized per-layer attention time for a bucketed signature. */
-    double CachedAttnLayerTime(int chunk_len, int kv_len, int decode_bs,
-                               int mean_context);
+    /** A bucketed attention signature: the memo-cache key. */
+    struct AttnSignature
+    {
+        int chunk = 0;
+        int kv = 0;
+        int decode_bs = 0;
+        int context = 0;
+
+        bool
+        operator==(const AttnSignature& o) const
+        {
+            return chunk == o.chunk && kv == o.kv &&
+                   decode_bs == o.decode_bs && context == o.context;
+        }
+    };
+
+    struct AttnSignatureHash
+    {
+        size_t operator()(const AttnSignature& sig) const;
+    };
 
     /** Iteration latency for a scheduled batch. */
     double IterationTime(const ScheduledBatch& batch,
@@ -434,7 +460,8 @@ class ServingEngine
     /** Sim-time event sink; nullptr (default) disables tracing. */
     telemetry::TraceRecorder* trace_ = nullptr;
 
-    std::unordered_map<uint64_t, double> attn_cache_;
+    std::unordered_map<AttnSignature, double, AttnSignatureHash>
+        attn_cache_;
     long attn_cache_hits_ = 0;
     long attn_cache_misses_ = 0;
     long sim_fastpath_events_ = 0;

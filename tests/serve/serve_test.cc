@@ -301,6 +301,27 @@ TEST(ServingEngineTest, AttnCacheReused)
     EXPECT_GT(engine.AttnCacheSize(), 0u);
 }
 
+TEST(ServingEngineTest, AttnCacheKeyKeepsChunkAndDecodeCountApart)
+{
+    // At equal kv and context, (chunk 128, 4 decodes) and (chunk 64,
+    // 8 decodes) once packed to the same key (chunk << 40 overlapped
+    // decode_bs << 44), so the second lookup returned the first's
+    // time. Each signature must get its own entry.
+    ServingEngine engine(SmallConfig(core::Backend::kPod),
+                         std::make_unique<SarathiScheduler>(512));
+    double a = engine.CachedAttnLayerTime(128, 1024, 4, 1024);
+    double b = engine.CachedAttnLayerTime(64, 1024, 8, 1024);
+    EXPECT_EQ(engine.AttnCacheSize(), 2u);
+    EXPECT_EQ(engine.AttnCacheMisses(), 2);
+    EXPECT_NE(a, b);
+
+    // Repeats hit their own entries.
+    EXPECT_EQ(engine.CachedAttnLayerTime(128, 1024, 4, 1024), a);
+    EXPECT_EQ(engine.CachedAttnLayerTime(64, 1024, 8, 1024), b);
+    EXPECT_EQ(engine.AttnCacheHits(), 2);
+    EXPECT_EQ(engine.AttnCacheSize(), 2u);
+}
+
 TEST(ServingEngineTest, AttnCacheDisabledIsBitIdenticalAndEmpty)
 {
     // The cache memoizes a pure function of the *bucketed* signature
