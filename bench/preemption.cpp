@@ -98,7 +98,7 @@ AddRow(Table& table, const Policy& policy, double qps, double watermark,
          Table::Num(report.ttft.Percentile(99), 2),
          Table::Num(report.tbt.Percentile(99) * 1e3, 1),
          Table::Int(static_cast<int>(report.preemptions)),
-         Table::Num(engine.SwapTimeTotal(), 3),
+         Table::Num(engine.Counters().swap_time_total, 3),
          Table::Pct(report.frac_stalled_200ms)});
 }
 

@@ -177,20 +177,6 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
         replica_rngs_[r] = Rng(DeriveSeed(seed_, r));
     }
 
-    // Memo caches (and their lifetime hit/miss counters) survive
-    // Reset() deliberately; baseline them so the per-run report only
-    // contains this run's lookups.
-    std::vector<long> cache_hits_base(num_replicas, 0);
-    std::vector<long> cache_misses_base(num_replicas, 0);
-    std::vector<long> fastpath_base(num_replicas, 0);
-    std::vector<long> fallback_base(num_replicas, 0);
-    for (size_t r = 0; r < num_replicas; ++r) {
-        cache_hits_base[r] = replicas_[r].AttnCacheHits();
-        cache_misses_base[r] = replicas_[r].AttnCacheMisses();
-        fastpath_base[r] = replicas_[r].SimFastpathEvents();
-        fallback_base[r] = replicas_[r].SimFallbackEvents();
-    }
-
     std::vector<ReplicaAccum> accum(num_replicas);
     std::vector<serve::ReplicaSnapshot> snapshots(num_replicas);
     size_t next_arrival = 0;
@@ -321,46 +307,8 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                 ? accum[r].kv_util_sum /
                       static_cast<double>(accum[r].kv_util_samples)
                 : 0.0;
-        report.utilization[r].attn_cache_entries =
-            static_cast<long>(replica.AttnCacheSize());
-        report.utilization[r].attn_cache_hits =
-            replica.AttnCacheHits() - cache_hits_base[r];
-        report.utilization[r].attn_cache_misses =
-            replica.AttnCacheMisses() - cache_misses_base[r];
-        report.attn_cache_entries +=
-            report.utilization[r].attn_cache_entries;
-        report.attn_cache_hits += report.utilization[r].attn_cache_hits;
-        report.attn_cache_misses +=
-            report.utilization[r].attn_cache_misses;
-        report.utilization[r].sim_fastpath_events =
-            replica.SimFastpathEvents() - fastpath_base[r];
-        report.utilization[r].sim_fallback_events =
-            replica.SimFallbackEvents() - fallback_base[r];
-        report.sim_fastpath_events +=
-            report.utilization[r].sim_fastpath_events;
-        report.sim_fallback_events +=
-            report.utilization[r].sim_fallback_events;
+        report += report.per_replica[r];
         report.preemptions += report.per_replica[r].preemptions;
-        report.preemptions_recompute +=
-            report.per_replica[r].preemptions_recompute;
-        report.preemptions_swap += report.per_replica[r].preemptions_swap;
-        report.swap_time_total += report.per_replica[r].swap_time_total;
-        report.prefix_hits += report.per_replica[r].prefix_hits;
-        report.prefix_misses += report.per_replica[r].prefix_misses;
-        report.prefix_hit_blocks +=
-            report.per_replica[r].prefix_hit_blocks;
-        report.prefix_evicted_blocks +=
-            report.per_replica[r].prefix_evicted_blocks;
-        report.prefix_cached_blocks +=
-            report.per_replica[r].prefix_cached_blocks;
-        report.prefix_shared_blocks +=
-            report.per_replica[r].prefix_shared_blocks;
-        report.prefix_tokens_saved +=
-            report.per_replica[r].prefix_tokens_saved;
-        report.prefill_tokens_processed +=
-            report.per_replica[r].prefill_tokens_processed;
-        report.decode_tokens_processed +=
-            report.per_replica[r].decode_tokens_processed;
         fleet_states.insert(fleet_states.end(),
                             replica.States().begin(),
                             replica.States().end());
@@ -377,26 +325,9 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                                          fleet_iterations, fleet_tokens);
     report.fleet.system = router_->Name();
     // CollectMetrics recovers the per-request preemption counts from
-    // the pooled states; the mode split and transfer time only exist
-    // in the per-replica engine counters, so roll those up.
-    report.fleet.preemptions_recompute = report.preemptions_recompute;
-    report.fleet.preemptions_swap = report.preemptions_swap;
-    report.fleet.swap_time_total = report.swap_time_total;
-    // Sim-core event counts likewise live only in the engines.
-    report.fleet.sim_fastpath_events = report.sim_fastpath_events;
-    report.fleet.sim_fallback_events = report.sim_fallback_events;
-    // Prefix-cache and processed-token counters likewise.
-    report.fleet.prefix_hits = report.prefix_hits;
-    report.fleet.prefix_misses = report.prefix_misses;
-    report.fleet.prefix_hit_blocks = report.prefix_hit_blocks;
-    report.fleet.prefix_evicted_blocks = report.prefix_evicted_blocks;
-    report.fleet.prefix_cached_blocks = report.prefix_cached_blocks;
-    report.fleet.prefix_shared_blocks = report.prefix_shared_blocks;
-    report.fleet.prefix_tokens_saved = report.prefix_tokens_saved;
-    report.fleet.prefill_tokens_processed =
-        report.prefill_tokens_processed;
-    report.fleet.decode_tokens_processed =
-        report.decode_tokens_processed;
+    // the pooled states; every engine counter lives only in the
+    // engines, so the fleet takes the rollup.
+    static_cast<serve::EngineCounters&>(report.fleet) = report;
     report.request_imbalance_cv = CoefficientOfVariation(request_counts);
     report.token_imbalance_cv = CoefficientOfVariation(token_counts);
     if (prof) {

@@ -8,36 +8,6 @@
 
 namespace pod::cluster {
 
-namespace {
-
-double
-HitRate(long hits, long misses)
-{
-    long lookups = hits + misses;
-    if (lookups <= 0) return 0.0;
-    return static_cast<double>(hits) / static_cast<double>(lookups);
-}
-
-}  // namespace
-
-double
-ReplicaUtilization::AttnCacheHitRate() const
-{
-    return HitRate(attn_cache_hits, attn_cache_misses);
-}
-
-double
-ClusterMetricsReport::AttnCacheHitRate() const
-{
-    return HitRate(attn_cache_hits, attn_cache_misses);
-}
-
-double
-ClusterMetricsReport::PrefixHitRate() const
-{
-    return HitRate(prefix_hits, prefix_misses);
-}
-
 double
 CoefficientOfVariation(const std::vector<double>& values)
 {
@@ -58,44 +28,8 @@ FillRegistry(const ClusterMetricsReport& report,
                       report.request_imbalance_cv);
     registry.SetGauge(prefix + "imbalance.tokens_cv",
                       report.token_imbalance_cv);
-    registry.AddCounter(prefix + "attn_cache.entries",
-                        report.attn_cache_entries);
-    registry.AddCounter(prefix + "attn_cache.hits",
-                        report.attn_cache_hits);
-    registry.AddCounter(prefix + "attn_cache.misses",
-                        report.attn_cache_misses);
-    registry.SetGauge(prefix + "attn_cache.hit_rate",
-                      report.AttnCacheHitRate());
-    registry.AddCounter(prefix + "sim_core.fastpath_events",
-                        report.sim_fastpath_events);
-    registry.AddCounter(prefix + "sim_core.fallback_events",
-                        report.sim_fallback_events);
     registry.AddCounter(prefix + "preempt.total", report.preemptions);
-    registry.AddCounter(prefix + "preempt.recompute",
-                        report.preemptions_recompute);
-    registry.AddCounter(prefix + "preempt.swap",
-                        report.preemptions_swap);
-    registry.SetGauge(prefix + "swap.total_seconds",
-                      report.swap_time_total);
-    registry.AddCounter(prefix + "kv_prefix.hits", report.prefix_hits);
-    registry.AddCounter(prefix + "kv_prefix.misses",
-                        report.prefix_misses);
-    registry.AddCounter(prefix + "kv_prefix.hit_blocks",
-                        report.prefix_hit_blocks);
-    registry.AddCounter(prefix + "kv_prefix.evicted_blocks",
-                        report.prefix_evicted_blocks);
-    registry.AddCounter(prefix + "kv_prefix.tokens_saved",
-                        report.prefix_tokens_saved);
-    registry.SetGauge(prefix + "kv_prefix.cached_blocks",
-                      static_cast<double>(report.prefix_cached_blocks));
-    registry.SetGauge(prefix + "kv_prefix.shared_blocks",
-                      static_cast<double>(report.prefix_shared_blocks));
-    registry.SetGauge(prefix + "kv_prefix.hit_rate",
-                      report.PrefixHitRate());
-    registry.AddCounter(prefix + "tokens.prefill_processed",
-                        report.prefill_tokens_processed);
-    registry.AddCounter(prefix + "tokens.decode_processed",
-                        report.decode_tokens_processed);
+    serve::FillCounters(report, registry, prefix);
 
     serve::FillRegistry(report.fleet, registry, prefix + "fleet.");
 
@@ -111,8 +45,6 @@ FillRegistry(const ClusterMetricsReport& report,
             registry.AddCounter(rp + "routed", u.requests_routed);
             registry.SetGauge(rp + "tokens_processed",
                               u.tokens_processed);
-            registry.SetGauge(rp + "attn_cache.hit_rate",
-                              u.AttnCacheHitRate());
         }
     }
 }

@@ -31,28 +31,13 @@ struct ReplicaUtilization
 
     /** Tokens the replica processed across all iterations. */
     double tokens_processed = 0.0;
-
-    // Attention memo-cache statistics (docs/DESIGN.md S5.4): each
-    // replica owns its cache, so per-replica hit rates show how much
-    // of the fleet's iteration costing was memoized vs simulated.
-    // `entries` is a gauge (cache size after the run; the cache
-    // survives Reset()); hits/misses count only this Run()'s lookups.
-    long attn_cache_entries = 0;
-    long attn_cache_hits = 0;
-    long attn_cache_misses = 0;
-
-    // Sim-core telemetry (docs/DESIGN.md S3.2): events this Run()'s
-    // attention simulations handled in the closed-form analytic core
-    // vs the stepwise oracle (fallbacks or ExactOracle replicas).
-    long sim_fastpath_events = 0;
-    long sim_fallback_events = 0;
-
-    /** Cache hits / (hits + misses); 0 when no lookups happened. */
-    double AttnCacheHitRate() const;
 };
 
-/** Aggregate report of one cluster serving run. */
-struct ClusterMetricsReport
+/**
+ * Aggregate report of one cluster serving run. The inherited engine
+ * counters are the sums of the per-replica reports' counters.
+ */
+struct ClusterMetricsReport : serve::EngineCounters
 {
     std::string router = "router";
     std::string workload = "workload";
@@ -86,45 +71,8 @@ struct ClusterMetricsReport
      */
     double token_imbalance_cv = 0.0;
 
-    // Fleet-wide attention memo-cache rollup (sums of the per-replica
-    // counters in `utilization`).
-    long attn_cache_entries = 0;
-    long attn_cache_hits = 0;
-    long attn_cache_misses = 0;
-
-    // Fleet-wide sim-core rollup (sums of the per-replica counters in
-    // `utilization`).
-    long sim_fastpath_events = 0;
-    long sim_fallback_events = 0;
-
-    // Fleet-wide request-lifecycle rollup (sums of the per-replica
-    // MetricsReport counters; docs/DESIGN.md S2). Nonzero only when
-    // replicas run the watermark KV allocator.
+    /** Fleet-wide preemption events (sum over per_replica). */
     long preemptions = 0;
-    long preemptions_recompute = 0;
-    long preemptions_swap = 0;
-    double swap_time_total = 0.0;
-
-    // Fleet-wide prefix-cache and processed-token rollup (sums of
-    // the per-replica MetricsReport counters; docs/DESIGN.md S2.6).
-    // The prefix_* counters stay zero unless replicas enable
-    // ServingConfig::prefix_cache_enabled.
-    long prefix_hits = 0;
-    long prefix_misses = 0;
-    long prefix_hit_blocks = 0;
-    long prefix_evicted_blocks = 0;
-    long prefix_cached_blocks = 0;
-    long prefix_shared_blocks = 0;
-    long prefix_tokens_saved = 0;
-    long prefill_tokens_processed = 0;
-    long decode_tokens_processed = 0;
-
-    /** Fleet cache hits / (hits + misses); 0 when no lookups. */
-    double AttnCacheHitRate() const;
-
-    /** Fleet prefix-cache hits / (hits + misses); 0 when no
-     * hashable admissions happened. */
-    double PrefixHitRate() const;
 };
 
 /**
@@ -137,7 +85,7 @@ double CoefficientOfVariation(const std::vector<double>& values);
  * Publish a cluster report into a metric registry under `prefix`
  * (default "cluster."): the fleet rollup under `<prefix>fleet.`, each
  * replica's report under `<prefix>replica<r>.` plus its utilization
- * gauges, and the imbalance / cache / preemption rollups at the top
+ * gauges, and the imbalance rollups and engine counters at the top
  * level. Names follow docs/OBSERVABILITY.md; enumeration via
  * MetricRegistry::Rows() is name-sorted and deterministic.
  */

@@ -112,8 +112,7 @@ RunPod(const HybridBatch& batch, const gpusim::GpuSpec& spec,
        const AttnRunOptions& options)
 {
     PodOptions pod_options = options.pod;
-    if (pod_options.ctas_per_sm == CtasPerSm::kExhaustive ||
-        pod_options.ctas_per_sm == CtasPerSm::kAuto) {
+    if (pod_options.ctas_per_sm == CtasPerSm::kAuto) {
         // "POD-Attention automatically picks the most suitable
         // configuration at runtime" (paper S4.2.2). Simulation makes
         // trying both configurations free, which also preserves the

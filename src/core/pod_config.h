@@ -17,17 +17,15 @@ enum class SchedPolicy : int {
  * Concurrent CTAs per SM (paper S4.2.2).
  *
  * kAuto is not a heuristic: RunAttention's POD backend simulates both
- * 2 and 4 CTAs/SM and keeps the faster, exactly like kExhaustive.
- * Only a direct BuildPodKernel call with kAuto falls back to
- * ChooseCtasPerSm's prefill-vs-decode estimate, which picks the
- * simulated winner on too few batches to replace the second
- * simulation (docs/EXPERIMENTS.md).
+ * 2 and 4 CTAs/SM and keeps the faster. Only a direct BuildPodKernel
+ * call with kAuto falls back to ChooseCtasPerSm's prefill-vs-decode
+ * estimate, which picks the simulated winner on too few batches to
+ * replace the second simulation (docs/EXPERIMENTS.md).
  */
 enum class CtasPerSm : int {
-    kAuto = 0,        ///< Simulate 2 and 4, keep the faster.
-    kTwo = 2,         ///< 2 CTAs/SM: large prefill tiles.
-    kFour = 4,        ///< 4 CTAs/SM: finer co-location ratios.
-    kExhaustive = -1, ///< Simulate both and keep the faster (ablation).
+    kAuto = 0,  ///< Simulate 2 and 4, keep the faster.
+    kTwo = 2,   ///< 2 CTAs/SM: large prefill tiles.
+    kFour = 4,  ///< 4 CTAs/SM: finer co-location ratios.
 };
 
 /** Prefill KV-split policy (paper S4.2.4). */

@@ -102,11 +102,11 @@ ServingEngine::CachedAttnLayerTime(int chunk_len, int kv_len,
     if (config_.attn_cache_enabled) {
         auto it = attn_cache_.find(key);
         if (it != attn_cache_.end()) {
-            ++attn_cache_hits_;
+            ++counters_.attn_cache_hits;
             return it->second;
         }
     }
-    ++attn_cache_misses_;
+    ++counters_.attn_cache_misses;
 
     kernels::HybridBatch batch;
     batch.shape = config_.model.ShapePerGpu(config_.tensor_parallel);
@@ -119,8 +119,8 @@ ServingEngine::CachedAttnLayerTime(int chunk_len, int kv_len,
     }
     core::AttnRunResult result = core::RunAttention(
         config_.backend, batch, config_.gpu, config_.attn_options);
-    sim_fastpath_events_ += result.analytic_fastpath_events;
-    sim_fallback_events_ += result.oracle_fallback_events;
+    counters_.sim_fastpath_events += result.analytic_fastpath_events;
+    counters_.sim_fallback_events += result.oracle_fallback_events;
     // The simulated time is a pure function of the bucketed signature,
     // so memoizing it (or not) is bit-invisible to results.
     if (config_.attn_cache_enabled) attn_cache_[key] = result.total_time;
@@ -206,11 +206,7 @@ ServingEngine::Reset()
     decode_tokens_pending_ = 0;
     pending_unadmitted_blocks_ = 0;
     pending_preempted_blocks_ = 0;
-    preemptions_recompute_ = 0;
-    preemptions_swap_ = 0;
-    swap_time_total_ = 0.0;
-    prefill_tokens_processed_ = 0;
-    decode_tokens_processed_ = 0;
+    counters_ = EngineCounters{};
     long kv_tokens = config_.KvTokenCapacity();
     kv_ = MakeKvAllocator(config_.kv_policy,
                           std::max<long>(1, kv_tokens / config_.kv_block_size),
@@ -338,7 +334,7 @@ ServingEngine::ApplyLifecycleTransitions(
         decode_tokens_pending_ -=
             state.request.decode_tokens - state.decoded;
         if (t.mode == PreemptMode::kRecompute) {
-            ++preemptions_recompute_;
+            ++counters_.preemptions_recompute;
             // The context (prompt + generated tokens) must be
             // re-prefilled; fold the restored work into the pending
             // prefill counter.
@@ -352,7 +348,7 @@ ServingEngine::ApplyLifecycleTransitions(
             pending_preempted_blocks_ +=
                 kv_->BlocksFor(state.PrefillTarget());
         } else {
-            ++preemptions_swap_;
+            ++counters_.preemptions_swap;
             // Swap-in will restore the evicted footprint verbatim.
             pending_preempted_blocks_ += t.blocks;
             swap_bytes += static_cast<double>(t.blocks) *
@@ -363,7 +359,7 @@ ServingEngine::ApplyLifecycleTransitions(
     // Roofline of the host transfer: the slower of the PCIe link and
     // HBM feeding it (in practice PCIe-bound).
     double swap_time = swap_bytes / swap_bandwidth_;
-    swap_time_total_ += swap_time;
+    counters_.swap_time_total += swap_time;
     result.swap_time = swap_time;
     return swap_time;
 }
@@ -443,7 +439,7 @@ ServingEngine::Step()
         }
         state.prefilled += p.chunk_len;
         prefill_tokens_pending_ -= p.chunk_len;
-        prefill_tokens_processed_ += p.chunk_len;
+        counters_.prefill_tokens_processed += p.chunk_len;
         POD_ASSERT(state.prefilled <= state.PrefillTarget());
         if (state.PrefillDone()) {
             // The prompt's KV is fully on-device now: a caching
@@ -461,7 +457,7 @@ ServingEngine::Step()
                 state.tbt.push_back(now_ - state.last_token_time);
             }
             decode_tokens_pending_ -= 1;
-            decode_tokens_processed_ += 1;
+            counters_.decode_tokens_processed += 1;
             state.last_token_time = now_;
             if (state.decoded >= state.request.decode_tokens) {
                 FinishRequest(state, result);
@@ -480,7 +476,7 @@ ServingEngine::Step()
                 state.decoded);
         }
         decode_tokens_pending_ -= 1;
-        decode_tokens_processed_ += 1;
+        counters_.decode_tokens_processed += 1;
         state.tbt.push_back(now_ - state.last_token_time);
         state.last_token_time = now_;
         if (state.decoded >= state.request.decode_tokens) {
@@ -542,26 +538,24 @@ ServingEngine::Snapshot() const
                 static_cast<double>(kv_->TotalBlocks());
     }
     snap.kv_watermark_headroom = kv_->WatermarkHeadroom();
-    snap.preemptions_recompute = preemptions_recompute_;
-    snap.preemptions_swap = preemptions_swap_;
-    snap.swap_time_total = swap_time_total_;
-    snap.attn_cache_entries = static_cast<long>(attn_cache_.size());
-    snap.attn_cache_hits = attn_cache_hits_;
-    snap.attn_cache_misses = attn_cache_misses_;
-    snap.sim_fastpath_events = sim_fastpath_events_;
-    snap.sim_fallback_events = sim_fallback_events_;
-    snap.prefill_tokens_processed = prefill_tokens_processed_;
-    snap.decode_tokens_processed = decode_tokens_processed_;
-    if (const prefix::PrefixCacheStats* ps = kv_->PrefixStats()) {
-        snap.prefix_hits = ps->hits;
-        snap.prefix_misses = ps->misses;
-        snap.prefix_hit_blocks = ps->hit_blocks;
-        snap.prefix_evicted_blocks = ps->evicted_blocks;
-        snap.prefix_cached_blocks = ps->cached_blocks;
-        snap.prefix_shared_blocks = ps->shared_blocks;
-        snap.prefix_tokens_saved = ps->prefill_tokens_saved;
-    }
     return snap;
+}
+
+EngineCounters
+ServingEngine::Counters() const
+{
+    EngineCounters counters = counters_;
+    counters.attn_cache_entries = static_cast<long>(attn_cache_.size());
+    if (const prefix::PrefixCacheStats* ps = kv_->PrefixStats()) {
+        counters.prefix_hits = ps->hits;
+        counters.prefix_misses = ps->misses;
+        counters.prefix_hit_blocks = ps->hit_blocks;
+        counters.prefix_evicted_blocks = ps->evicted_blocks;
+        counters.prefix_cached_blocks = ps->cached_blocks;
+        counters.prefix_shared_blocks = ps->shared_blocks;
+        counters.prefix_tokens_saved = ps->prefill_tokens_saved;
+    }
+    return counters;
 }
 
 MetricsReport
@@ -571,22 +565,7 @@ ServingEngine::Report() const
     MetricsReport report =
         CollectMetrics(states_, now_, iterations_, total_batch_tokens_);
     report.system = scheduler_->Name();
-    report.preemptions_recompute = preemptions_recompute_;
-    report.preemptions_swap = preemptions_swap_;
-    report.swap_time_total = swap_time_total_;
-    report.sim_fastpath_events = sim_fastpath_events_;
-    report.sim_fallback_events = sim_fallback_events_;
-    report.prefill_tokens_processed = prefill_tokens_processed_;
-    report.decode_tokens_processed = decode_tokens_processed_;
-    if (const prefix::PrefixCacheStats* ps = kv_->PrefixStats()) {
-        report.prefix_hits = ps->hits;
-        report.prefix_misses = ps->misses;
-        report.prefix_hit_blocks = ps->hit_blocks;
-        report.prefix_evicted_blocks = ps->evicted_blocks;
-        report.prefix_cached_blocks = ps->cached_blocks;
-        report.prefix_shared_blocks = ps->shared_blocks;
-        report.prefix_tokens_saved = ps->prefill_tokens_saved;
-    }
+    static_cast<EngineCounters&>(report) = Counters();
     return report;
 }
 

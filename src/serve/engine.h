@@ -178,49 +178,6 @@ struct ReplicaSnapshot
     long kv_total_blocks = 0;
 
     long iterations = 0;
-
-    // ---- request-lifecycle counters (cumulative; docs/DESIGN.md S2) ----
-
-    /** Recompute preemptions since the last Reset(). */
-    long preemptions_recompute = 0;
-
-    /** Swap preemptions since the last Reset(). */
-    long preemptions_swap = 0;
-
-    /** Swap-in + swap-out PCIe time charged so far (seconds). */
-    double swap_time_total = 0.0;
-
-    /** Attention memo-cache entries (docs/DESIGN.md S5.4). */
-    long attn_cache_entries = 0;
-
-    /** Attention memo-cache hits since the engine was constructed. */
-    long attn_cache_hits = 0;
-
-    /** Attention memo-cache misses (kernel simulations performed). */
-    long attn_cache_misses = 0;
-
-    /** Analytic sim-core events across this replica's simulations. */
-    long sim_fastpath_events = 0;
-
-    /** Stepwise-oracle sim events (fallbacks or ExactOracle runs). */
-    long sim_fallback_events = 0;
-
-    /** Prefill tokens actually executed in chunks since Reset()
-     * (prefix-cache hits excluded — the fig15 P:D numerator). */
-    long prefill_tokens_processed = 0;
-
-    /** Output tokens emitted since Reset(). */
-    long decode_tokens_processed = 0;
-
-    // ---- prefix cache (all zero when prefix_cache_enabled is off;
-    //      docs/OBSERVABILITY.md kv_prefix.* rows) ----
-    long prefix_hits = 0;
-    long prefix_misses = 0;
-    long prefix_hit_blocks = 0;
-    long prefix_evicted_blocks = 0;
-    long prefix_cached_blocks = 0;
-    long prefix_shared_blocks = 0;
-    long prefix_tokens_saved = 0;
 };
 
 /** Outcome of one ServingEngine::Step() call. */
@@ -340,14 +297,12 @@ class ServingEngine
     /** The active KV allocation policy. */
     const KvAllocator& Allocator() const { return *kv_; }
 
-    /** Recompute preemptions since the last Reset(). */
-    long PreemptionsRecompute() const { return preemptions_recompute_; }
-
-    /** Swap preemptions since the last Reset(). */
-    long PreemptionsSwap() const { return preemptions_swap_; }
-
-    /** Swap transfer time charged since the last Reset() (seconds). */
-    double SwapTimeTotal() const { return swap_time_total_; }
+    /**
+     * Engine counters since the last Reset() (serve/counters.h);
+     * attn_cache_entries and the prefix-cache block gauges are
+     * current sizes.
+     */
+    EngineCounters Counters() const;
 
     /**
      * Per-layer attention time of a hybrid batch signature: total
@@ -358,33 +313,14 @@ class ServingEngine
     double CachedAttnLayerTime(int chunk_len, int kv_len, int decode_bs,
                                int mean_context);
 
-    /** Attention memo-cache entries created so far. */
+    /** Attention memo-cache entries (the cache survives Reset()). */
     size_t AttnCacheSize() const { return attn_cache_.size(); }
 
-    /** Attention memo-cache hits since construction. */
-    long AttnCacheHits() const { return attn_cache_hits_; }
+    /** Attention memo-cache hits since the last Reset(). */
+    long AttnCacheHits() const { return counters_.attn_cache_hits; }
 
-    /** Attention memo-cache misses (kernel simulations performed). */
-    long AttnCacheMisses() const { return attn_cache_misses_; }
-
-    /** Analytic sim-core events across this engine's simulations. */
-    long SimFastpathEvents() const { return sim_fastpath_events_; }
-
-    /** Stepwise-oracle sim events (fallbacks or ExactOracle runs). */
-    long SimFallbackEvents() const { return sim_fallback_events_; }
-
-    /** Prefill tokens actually executed since Reset() (prefix-cache
-     * hits excluded). */
-    long PrefillTokensProcessed() const
-    {
-        return prefill_tokens_processed_;
-    }
-
-    /** Output tokens emitted since Reset(). */
-    long DecodeTokensProcessed() const
-    {
-        return decode_tokens_processed_;
-    }
+    /** Memo-cache misses (kernel simulations) since the last Reset(). */
+    long AttnCacheMisses() const { return counters_.attn_cache_misses; }
 
     const ServingConfig& Config() const { return config_; }
 
@@ -462,10 +398,10 @@ class ServingEngine
 
     std::unordered_map<AttnSignature, double, AttnSignatureHash>
         attn_cache_;
-    long attn_cache_hits_ = 0;
-    long attn_cache_misses_ = 0;
-    long sim_fastpath_events_ = 0;
-    long sim_fallback_events_ = 0;
+
+    /** Counters since Reset(); the prefix-cache fields and
+     * attn_cache_entries are filled in by Counters(). */
+    EngineCounters counters_;
 
     // ---- stepping state (valid between Reset() and Done()) ----
     std::vector<RequestState> states_;
@@ -520,17 +456,6 @@ class ServingEngine
      * replica's latent demand after its evictions freed the pool.
      */
     long pending_preempted_blocks_ = 0;
-
-    // ---- lifecycle counters (reset by Reset()) ----
-    long preemptions_recompute_ = 0;
-    long preemptions_swap_ = 0;
-    double swap_time_total_ = 0.0;
-
-    /** Prefill tokens executed / output tokens emitted since
-     * Reset(). processed + prefix_tokens_saved == submitted prefill
-     * work under the conservative policy (no recompute inflation). */
-    long prefill_tokens_processed_ = 0;
-    long decode_tokens_processed_ = 0;
 };
 
 }  // namespace pod::serve

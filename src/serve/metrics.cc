@@ -74,9 +74,6 @@ FillRegistry(const MetricsReport& report,
     registry.AddCounter(prefix + "requests", report.num_requests);
     registry.AddCounter(prefix + "iterations", report.iterations);
     registry.AddCounter(prefix + "preempt.total", report.preemptions);
-    registry.AddCounter(prefix + "preempt.recompute",
-                        report.preemptions_recompute);
-    registry.AddCounter(prefix + "preempt.swap", report.preemptions_swap);
     registry.AddCounter(prefix + "preempt.requests",
                         report.requests_preempted);
     registry.SetGauge(prefix + "makespan_seconds", report.makespan);
@@ -88,29 +85,7 @@ FillRegistry(const MetricsReport& report,
                       report.frac_stalled_200ms);
     registry.SetGauge(prefix + "stalled.frac_500ms",
                       report.frac_stalled_500ms);
-    registry.SetGauge(prefix + "swap.total_seconds",
-                      report.swap_time_total);
-    registry.AddCounter(prefix + "sim_core.fastpath_events",
-                        report.sim_fastpath_events);
-    registry.AddCounter(prefix + "sim_core.fallback_events",
-                        report.sim_fallback_events);
-    registry.AddCounter(prefix + "tokens.prefill_processed",
-                        report.prefill_tokens_processed);
-    registry.AddCounter(prefix + "tokens.decode_processed",
-                        report.decode_tokens_processed);
-    registry.AddCounter(prefix + "kv_prefix.hits", report.prefix_hits);
-    registry.AddCounter(prefix + "kv_prefix.misses",
-                        report.prefix_misses);
-    registry.AddCounter(prefix + "kv_prefix.hit_blocks",
-                        report.prefix_hit_blocks);
-    registry.AddCounter(prefix + "kv_prefix.evicted_blocks",
-                        report.prefix_evicted_blocks);
-    registry.AddCounter(prefix + "kv_prefix.tokens_saved",
-                        report.prefix_tokens_saved);
-    registry.SetGauge(prefix + "kv_prefix.cached_blocks",
-                      static_cast<double>(report.prefix_cached_blocks));
-    registry.SetGauge(prefix + "kv_prefix.shared_blocks",
-                      static_cast<double>(report.prefix_shared_blocks));
+    FillCounters(report, registry, prefix);
     FillSampleStats(report.ttft, registry, prefix + "ttft");
     FillSampleStats(report.tbt, registry, prefix + "tbt");
     FillSampleStats(report.latency, registry, prefix + "latency");

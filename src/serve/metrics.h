@@ -11,12 +11,16 @@
 
 #include "common/stats.h"
 #include "common/telemetry/registry.h"
+#include "serve/counters.h"
 #include "serve/request.h"
 
 namespace pod::serve {
 
-/** Aggregate report of one serving run. */
-struct MetricsReport
+/**
+ * Aggregate report of one serving run. The inherited engine counters
+ * (serve/counters.h) come from ServingEngine::Counters().
+ */
+struct MetricsReport : EngineCounters
 {
     std::string system = "system";
     std::string workload = "workload";
@@ -49,68 +53,11 @@ struct MetricsReport
     /** Mean tokens per scheduled batch. */
     double mean_batch_tokens = 0.0;
 
-    // ---- request-lifecycle counters (docs/DESIGN.md S2) ----
-    // Always zero under the conservative KV allocator; the watermark
-    // allocator's preemption behaviour is pinned by these counters.
-
     /** Total preemption events (sum of per-request preempt counts). */
     long preemptions = 0;
 
-    /** Preemptions resolved by recomputing the context. */
-    long preemptions_recompute = 0;
-
-    /** Preemptions resolved by swapping KV to host memory. */
-    long preemptions_swap = 0;
-
     /** Requests preempted at least once. */
     int requests_preempted = 0;
-
-    /** Total swap-in + swap-out transfer time charged (seconds). */
-    double swap_time_total = 0.0;
-
-    // ---- sim-core telemetry (docs/DESIGN.md S3.2) ----
-    // Summed over the attention simulations this engine ran (memo-
-    // cache misses only; hits cost no sim events).
-
-    /** Events handled by the closed-form analytic sim core. */
-    long sim_fastpath_events = 0;
-
-    /** Stepwise-oracle events (fallbacks or ExactOracle runs). */
-    long sim_fallback_events = 0;
-
-    // ---- token accounting + prefix cache (docs/DESIGN.md S2.6) ----
-    // Processed counts measure work actually executed; with the
-    // prefix cache on, processed prefill shrinks by exactly
-    // prefix_tokens_saved (the fig15 P:D-ratio shift). The prefix_*
-    // fields stay zero when ServingConfig::prefix_cache_enabled is
-    // off.
-
-    /** Prefill tokens executed in chunks (cache hits excluded). */
-    long prefill_tokens_processed = 0;
-
-    /** Output tokens emitted. */
-    long decode_tokens_processed = 0;
-
-    /** Hashable admissions that matched >= 1 cached block. */
-    long prefix_hits = 0;
-
-    /** Hashable admissions that matched nothing. */
-    long prefix_misses = 0;
-
-    /** Blocks served from cache across all hits. */
-    long prefix_hit_blocks = 0;
-
-    /** Cached blocks reclaimed by LRU eviction under pressure. */
-    long prefix_evicted_blocks = 0;
-
-    /** Gauge: blocks cached at the end of the run. */
-    long prefix_cached_blocks = 0;
-
-    /** Gauge: cached blocks shared by >= 2 requests at the end. */
-    long prefix_shared_blocks = 0;
-
-    /** Prefill tokens admissions skipped thanks to cache hits. */
-    long prefix_tokens_saved = 0;
 };
 
 /** Build a report from final request states. */
@@ -122,7 +69,8 @@ MetricsReport CollectMetrics(const std::vector<RequestState>& states,
  * Publish a report into a metric registry under `prefix` (e.g.
  * "serve." -> "serve.latency.p99_seconds"), following the
  * docs/OBSERVABILITY.md naming scheme. Counts become counters,
- * scalars gauges; the TTFT/TBT/latency sample sets are summarized as
+ * scalars gauges, the engine counters their listed kinds
+ * (FillCounters); the TTFT/TBT/latency sample sets are summarized as
  * count/mean/p50/p99/max gauges.
  */
 void FillRegistry(const MetricsReport& report,

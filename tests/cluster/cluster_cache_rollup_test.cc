@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the fleet-level attention memo-cache rollup: per-replica
- * hit/miss counters surfaced in ClusterMetricsReport and their
- * fleet-wide sums (docs/DESIGN.md S5.4 observability).
+ * Tests for the fleet-level engine-counter rollup: per-replica
+ * memo-cache and sim-core counters surfaced in ClusterMetricsReport
+ * and their fleet-wide sums (docs/DESIGN.md S5.4 observability).
  */
 #include "cluster/cluster_engine.h"
 
@@ -44,22 +44,22 @@ TEST(ClusterCacheRollupTest, FleetCountersSumPerReplicaCounters)
         MakeRouter("round-robin"));
     ClusterMetricsReport report = engine.Run(SmallTrace());
 
-    ASSERT_EQ(report.utilization.size(), 2u);
+    ASSERT_EQ(report.per_replica.size(), 2u);
     long entries = 0;
     long hits = 0;
     long misses = 0;
     for (int r = 0; r < 2; ++r) {
-        const ReplicaUtilization& u =
-            report.utilization[static_cast<size_t>(r)];
+        const serve::MetricsReport& m =
+            report.per_replica[static_cast<size_t>(r)];
         // Each replica simulated work, so its cache saw lookups, and
         // every miss created exactly one entry.
-        EXPECT_GT(u.attn_cache_misses, 0);
-        EXPECT_EQ(u.attn_cache_entries, u.attn_cache_misses);
-        EXPECT_EQ(u.attn_cache_entries,
+        EXPECT_GT(m.attn_cache_misses, 0);
+        EXPECT_EQ(m.attn_cache_entries, m.attn_cache_misses);
+        EXPECT_EQ(m.attn_cache_entries,
                   static_cast<long>(engine.Replica(r).AttnCacheSize()));
-        entries += u.attn_cache_entries;
-        hits += u.attn_cache_hits;
-        misses += u.attn_cache_misses;
+        entries += m.attn_cache_entries;
+        hits += m.attn_cache_hits;
+        misses += m.attn_cache_misses;
     }
     EXPECT_EQ(report.attn_cache_entries, entries);
     EXPECT_EQ(report.attn_cache_hits, hits);
@@ -67,13 +67,13 @@ TEST(ClusterCacheRollupTest, FleetCountersSumPerReplicaCounters)
     EXPECT_GT(report.AttnCacheHitRate(), 0.0);
     EXPECT_LT(report.AttnCacheHitRate(), 1.0);
 
-    // Snapshot exposes the same (lifetime) counters for routing-time
-    // visibility; after a single run they equal the per-run deltas.
-    serve::ReplicaSnapshot snap = engine.Replica(0).Snapshot();
-    EXPECT_EQ(snap.attn_cache_hits,
-              report.utilization[0].attn_cache_hits);
-    EXPECT_EQ(snap.attn_cache_misses,
-              report.utilization[0].attn_cache_misses);
+    // The engine exposes the same since-Reset counters the report
+    // copied.
+    serve::EngineCounters counters = engine.Replica(0).Counters();
+    EXPECT_EQ(counters.attn_cache_hits,
+              report.per_replica[0].attn_cache_hits);
+    EXPECT_EQ(counters.attn_cache_misses,
+              report.per_replica[0].attn_cache_misses);
 
     // A second run of the same engine reports only its own lookups:
     // the memo caches are warm, so this identical trace misses
@@ -86,11 +86,27 @@ TEST(ClusterCacheRollupTest, FleetCountersSumPerReplicaCounters)
               report.attn_cache_hits + report.attn_cache_misses);
     EXPECT_EQ(second.attn_cache_entries, report.attn_cache_entries);
     EXPECT_EQ(second.AttnCacheHitRate(), 1.0);
+
+    // Every per-replica counter of run two covers run two alone: with
+    // no misses there were no simulations, and the replicas sum to
+    // the cluster and fleet rollups field by field (the per-replica
+    // sim-core events once carried run one's over).
+    serve::EngineCounters sum;
+    for (const serve::MetricsReport& m : second.per_replica) {
+        EXPECT_EQ(m.sim_fastpath_events, 0);
+        EXPECT_EQ(m.sim_fallback_events, 0);
+        sum += m;
+    }
+#define EXPECT_ROLLUP(type, field, name, kind)                              \
+    EXPECT_EQ(sum.field, second.field) << #field;                           \
+    EXPECT_EQ(sum.field, second.fleet.field) << #field;
+    POD_ENGINE_COUNTERS(EXPECT_ROLLUP)
+#undef EXPECT_ROLLUP
 }
 
 TEST(ClusterCacheRollupTest, HitRateIsZeroWithoutLookups)
 {
-    ReplicaUtilization u;
+    serve::EngineCounters u;
     EXPECT_EQ(u.AttnCacheHitRate(), 0.0);
     ClusterMetricsReport r;
     EXPECT_EQ(r.AttnCacheHitRate(), 0.0);

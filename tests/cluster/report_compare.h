@@ -32,6 +32,17 @@ ExpectSamplesEqual(const SampleStats& expected, const SampleStats& got,
     }
 }
 
+/** Every engine counter (serve/counters.h), exactly. */
+inline void
+ExpectCountersEqual(const serve::EngineCounters& expected,
+                    const serve::EngineCounters& got, const char* what)
+{
+#define POD_EXPECT_COUNTER_EQ(type, field, name, kind)                      \
+    EXPECT_EQ(expected.field, got.field) << what << " " << #field;
+    POD_ENGINE_COUNTERS(POD_EXPECT_COUNTER_EQ)
+#undef POD_EXPECT_COUNTER_EQ
+}
+
 inline void
 ExpectMetricsEqual(const serve::MetricsReport& expected,
                    const serve::MetricsReport& got, const char* what)
@@ -71,6 +82,8 @@ ExpectReportsEqual(const ClusterMetricsReport& expected,
         SCOPED_TRACE(::testing::Message() << "replica " << r);
         ExpectMetricsEqual(expected.per_replica[r], got.per_replica[r],
                            "per_replica");
+        ExpectCountersEqual(expected.per_replica[r], got.per_replica[r],
+                            "per_replica");
     }
     ASSERT_EQ(expected.utilization.size(), got.utilization.size());
     for (size_t r = 0; r < expected.utilization.size(); ++r) {
@@ -82,17 +95,11 @@ ExpectReportsEqual(const ClusterMetricsReport& expected,
         EXPECT_EQ(a.busy_time, b.busy_time);
         EXPECT_EQ(a.requests_routed, b.requests_routed);
         EXPECT_EQ(a.tokens_processed, b.tokens_processed);
-        EXPECT_EQ(a.attn_cache_hits, b.attn_cache_hits);
-        EXPECT_EQ(a.attn_cache_misses, b.attn_cache_misses);
     }
     EXPECT_EQ(expected.request_imbalance_cv, got.request_imbalance_cv);
     EXPECT_EQ(expected.token_imbalance_cv, got.token_imbalance_cv);
-    EXPECT_EQ(expected.attn_cache_hits, got.attn_cache_hits);
-    EXPECT_EQ(expected.attn_cache_misses, got.attn_cache_misses);
     EXPECT_EQ(expected.preemptions, got.preemptions);
-    EXPECT_EQ(expected.preemptions_recompute, got.preemptions_recompute);
-    EXPECT_EQ(expected.preemptions_swap, got.preemptions_swap);
-    EXPECT_EQ(expected.swap_time_total, got.swap_time_total);
+    ExpectCountersEqual(expected, got, "cluster");
 }
 
 /**

@@ -209,12 +209,12 @@ TEST(PreemptionEngineTest, RecomputeOverloadPreemptsAndDrains)
     // Preempted-request counters match the brute-force rescan.
     EXPECT_EQ(report.preemptions, preempt_count_sum);
 
-    // Counters surface through the snapshot.
-    ReplicaSnapshot snap = engine.Snapshot();
-    EXPECT_EQ(snap.preemptions_recompute, report.preemptions_recompute);
-    EXPECT_EQ(snap.preemptions_swap, 0l);
-    EXPECT_EQ(snap.preempted, 0);  // all drained
-    EXPECT_EQ(snap.swap_time_total, 0.0);
+    // Counters surface through the engine.
+    EngineCounters counters = engine.Counters();
+    EXPECT_EQ(counters.preemptions_recompute, report.preemptions_recompute);
+    EXPECT_EQ(counters.preemptions_swap, 0l);
+    EXPECT_EQ(engine.Snapshot().preempted, 0);  // all drained
+    EXPECT_EQ(counters.swap_time_total, 0.0);
 }
 
 TEST(PreemptionEngineTest, SwapChargesTransferTime)
@@ -241,7 +241,7 @@ TEST(PreemptionEngineTest, SwapChargesTransferTime)
     EXPECT_EQ(report.preemptions_recompute, 0l);
     EXPECT_GT(report.swap_time_total, 0.0);
     EXPECT_DOUBLE_EQ(report.swap_time_total, summed_swap_time);
-    EXPECT_DOUBLE_EQ(engine.SwapTimeTotal(), summed_swap_time);
+    EXPECT_DOUBLE_EQ(engine.Counters().swap_time_total, summed_swap_time);
 
     // Swapped requests resume where they left off: no prefill target
     // ever grows under pure swap preemption.
@@ -337,7 +337,8 @@ BruteForceExpectations(const ServingEngine& engine,
     EXPECT_EQ(snap.preempted, preempted);
     EXPECT_EQ(snap.prefill_tokens_pending, prefill_pending);
     EXPECT_EQ(snap.decode_tokens_pending, decode_pending);
-    EXPECT_EQ(snap.preemptions_recompute + snap.preemptions_swap,
+    EXPECT_EQ(engine.Counters().preemptions_recompute +
+                  engine.Counters().preemptions_swap,
               preempt_events);
     EXPECT_EQ(snap.outstanding,
               static_cast<int>(states.size()) - snap.finished);
@@ -368,9 +369,8 @@ TEST(PreemptionEngineTest, CountersMatchBruteForceEveryStep)
             }
         }
         BruteForceExpectations(engine, engine.Snapshot());
-        ReplicaSnapshot final_snap = engine.Snapshot();
-        EXPECT_GT(final_snap.preemptions_recompute +
-                      final_snap.preemptions_swap,
+        EngineCounters counters = engine.Counters();
+        EXPECT_GT(counters.preemptions_recompute + counters.preemptions_swap,
                   0l);
     }
 }

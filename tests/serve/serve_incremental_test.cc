@@ -5,7 +5,7 @@
  * ReplicaSnapshot and NextEventTime() must equal what a brute-force
  * scan over all request states computes — the exact algorithm the
  * pre-refactor engine ran. Also covers the attention memo-cache
- * hit/miss counters surfaced through the snapshot.
+ * hit/miss counters surfaced through Counters().
  */
 #include "serve/engine.h"
 
@@ -141,11 +141,11 @@ TEST(ServeIncrementalTest, CacheCountersTrackLookups)
     // The repetitive decode phases must mostly hit.
     EXPECT_GT(engine.AttnCacheHits(), engine.AttnCacheMisses());
 
-    ReplicaSnapshot snap = engine.Snapshot();
-    EXPECT_EQ(snap.attn_cache_entries,
+    EngineCounters counters = engine.Counters();
+    EXPECT_EQ(counters.attn_cache_entries,
               static_cast<long>(engine.AttnCacheSize()));
-    EXPECT_EQ(snap.attn_cache_hits, engine.AttnCacheHits());
-    EXPECT_EQ(snap.attn_cache_misses, engine.AttnCacheMisses());
+    EXPECT_EQ(counters.attn_cache_hits, engine.AttnCacheHits());
+    EXPECT_EQ(counters.attn_cache_misses, engine.AttnCacheMisses());
 }
 
 }  // namespace
