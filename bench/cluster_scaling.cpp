@@ -40,10 +40,9 @@
  * serial 8-replica run, failing the build if the parallel engine's
  * scaling regresses. It then runs the heterogeneous advance pin: a
  * mixed H100/A6000 fleet under a deterministically skewed router,
- * advanced once per mode (single-shot vs work-stealing), both
- * bit-identical to the serial oracle; on capable hardware the
- * work-stealing advance phase must be >= 1.3x faster and cut the
- * pool's barrier-wait fraction by >= 2x (docs/DESIGN.md S8.4).
+ * drained at N threads and checked bit-identical to the serial
+ * oracle; its advance seconds and barrier-wait fraction are printed
+ * and recorded as non-gating gauges (docs/DESIGN.md S8.4).
  */
 #include <algorithm>
 #include <chrono>
@@ -104,7 +103,7 @@ Sarathi()
  * on purpose — the skew is the point. The heterogeneous advance pin
  * needs per-replica windows that stay imbalanced for the whole drain,
  * which any load-aware policy would erode; a fixed skew makes the
- * single-shot barrier-wait tax reproducible run over run.
+ * advance phase's barrier-wait share reproducible run over run.
  */
 class SkewedRouter : public Router
 {
@@ -277,19 +276,11 @@ BarrierWaitFraction(const telemetry::ClusterProfile& profile)
     double busy = 0.0;
     double wait = 0.0;
     for (const auto& t : profile.threads) {
-        busy += t.busy + t.steal_busy;
+        busy += t.busy;
         wait += t.barrier_wait;
     }
     double total = busy + wait;
     return total > 0.0 ? wait / total : 0.0;
-}
-
-long
-PoolSteals(const telemetry::ClusterProfile& profile)
-{
-    long steals = 0;
-    for (const auto& t : profile.threads) steals += t.steals;
-    return steals;
 }
 
 struct HetRun
@@ -300,8 +291,7 @@ struct HetRun
 
 HetRun
 RunHetFleet(const std::vector<serve::Request>& trace,
-            const std::vector<int>& weights, AdvanceMode mode,
-            int threads)
+            const std::vector<int>& weights, int threads)
 {
     // Mixed fleet: even replicas H100, odd A6000, so equal token
     // streams already advance at unequal speeds before the router
@@ -313,7 +303,6 @@ RunHetFleet(const std::vector<serve::Request>& trace,
                                     ? gpusim::GpuSpec::H100Sxm80GB()
                                     : gpusim::GpuSpec::RtxA6000();
     }
-    fleet.advance_mode = mode;
     ClusterEngine cluster(fleet, Sarathi(),
                           std::make_unique<SkewedRouter>(weights),
                           threads);
@@ -328,13 +317,10 @@ RunHetFleet(const std::vector<serve::Request>& trace,
  * The heterogeneous advance pin (docs/EXPERIMENTS.md): an offline
  * drain of a mixed H100/A6000 fleet under the skewed router is one
  * long advance window with genuinely uneven per-replica work — the
- * workload the work-stealing advance exists for. Single-shot
- * scheduling eats the imbalance as barrier wait; sliced LPT +
- * stealing must recover it. Both modes are checked bit-identical to
- * the serial oracle first, then (on capable hardware) the pin holds
- * work-stealing to a >= 1.3x advance-phase speedup and a >= 2x
- * barrier-wait-fraction reduction over single-shot. Writes the
- * registry dump for --json-out: both modes' profiles plus the pin
+ * workload longest-first dispatch exists for. The N-thread run must
+ * be bit-identical to the serial oracle; its advance-phase seconds
+ * and barrier-wait fraction are reported, not gated. Writes the
+ * registry dump for --json-out: the N-thread profile plus the pin
  * gauges, which is what the CI bench-trajectory artifact tracks.
  */
 int
@@ -347,71 +333,26 @@ RunHeterogeneousPin(int threads, const TelemetryOptions& telemetry)
                 "(H100/A6000 alternating), skewed-wrr router\n",
                 kRequests, weights.size());
 
-    HetRun oracle = RunHetFleet(trace, weights,
-                                AdvanceMode::kSingleShot, 1);
-    HetRun ss = RunHetFleet(trace, weights, AdvanceMode::kSingleShot,
-                            threads);
-    HetRun ws = RunHetFleet(trace, weights, AdvanceMode::kWorkStealing,
-                            threads);
-
-    if (!ReportsBitIdentical(oracle.report, ss.report) ||
-        !ReportsBitIdentical(oracle.report, ws.report)) {
+    HetRun oracle = RunHetFleet(trace, weights, 1);
+    HetRun run = RunHetFleet(trace, weights, threads);
+    if (!ReportsBitIdentical(oracle.report, run.report)) {
         std::printf("FAIL: heterogeneous pin diverged from the serial "
                     "oracle -- determinism regression\n");
         return 1;
     }
-    std::printf("  both modes bit-identical to the serial oracle\n");
-
-    double ss_frac = BarrierWaitFraction(ss.profile);
-    double ws_frac = BarrierWaitFraction(ws.profile);
-    double speedup = ws.profile.advance.seconds > 0.0
-                         ? ss.profile.advance.seconds /
-                               ws.profile.advance.seconds
-                         : 1.0;
-    std::printf("  [single-shot ] advance %.2f s, barrier-wait "
-                "fraction %.1f%%\n",
-                ss.profile.advance.seconds, 100.0 * ss_frac);
-    std::printf("  [work-stealing] advance %.2f s, barrier-wait "
-                "fraction %.1f%% (%ld steals)\n",
-                ws.profile.advance.seconds, 100.0 * ws_frac,
-                PoolSteals(ws.profile));
-    std::printf("  advance speedup (steal vs single-shot): %.2fx; "
-                "barrier-wait reduction: %.1fx\n",
-                speedup,
-                ws_frac > 0.0 ? ss_frac / ws_frac : 99.9);
+    const double frac = BarrierWaitFraction(run.profile);
+    std::printf("  [%d threads] bit-identical to the serial oracle; "
+                "advance %.2f s, barrier-wait fraction %.1f%%\n",
+                threads, run.profile.advance.seconds, 100.0 * frac);
 
     if (!telemetry.json_out.empty()) {
         telemetry::MetricRegistry registry;
-        FillRegistry(ws.report, registry);
-        ss.profile.FillRegistry(registry, "profile.single_shot.");
-        ws.profile.FillRegistry(registry, "profile.steal.");
-        registry.SetGauge("pin.advance_speedup", speedup);
-        registry.SetGauge("pin.barrier_wait_fraction.single_shot",
-                          ss_frac);
-        registry.SetGauge("pin.barrier_wait_fraction.steal", ws_frac);
+        FillRegistry(run.report, registry);
+        run.profile.FillRegistry(registry, "profile.");
+        registry.SetGauge("pin.advance_seconds",
+                          run.profile.advance.seconds);
+        registry.SetGauge("pin.barrier_wait_fraction", frac);
         WriteMetricsFile(telemetry, registry);
-    }
-
-    unsigned hw = std::thread::hardware_concurrency();
-    if (threads >= 4 && hw >= static_cast<unsigned>(threads)) {
-        if (speedup < 1.3) {
-            std::printf("FAIL: work-stealing advance below 1.3x over "
-                        "single-shot on %u-thread hardware -- the "
-                        "barrier-wait tax is back\n",
-                        hw);
-            return 1;
-        }
-        if (ss_frac < 2.0 * ws_frac) {
-            std::printf("FAIL: barrier-wait fraction not halved "
-                        "(single-shot %.1f%%, steal %.1f%%) -- "
-                        "stealing is not rebalancing the fleet\n",
-                        100.0 * ss_frac, 100.0 * ws_frac);
-            return 1;
-        }
-    } else {
-        std::printf("  (heterogeneous pin thresholds skipped: %u "
-                    "hardware threads for %d requested)\n",
-                    hw, threads);
     }
     return 0;
 }
@@ -524,8 +465,8 @@ main(int argc, char** argv)
                      "serving/cluster loops");
         int rc = RunLongSmoke(threads, telemetry);
         // In the parallel case the heterogeneous pin owns the
-        // registry dump (both modes' profiles + the pin gauges beat
-        // the generic 2-replica instrumented run as a trajectory
+        // registry dump (its profile + the pin gauges beat the
+        // generic 2-replica instrumented run as a trajectory
         // artifact); the Chrome trace still comes from EmitTelemetry.
         TelemetryOptions secondary = telemetry;
         if (threads > 1) secondary.json_out.clear();

@@ -35,31 +35,6 @@
 
 namespace pod::cluster {
 
-/**
- * How the parallel-advance phase schedules replica work across pool
- * threads (docs/DESIGN.md S8.4). Scheduling only: both modes produce
- * bit-identical results at every thread count — the mode changes
- * which thread runs which part of a replica's window, never the order
- * of any replica's events.
- */
-enum class AdvanceMode
-{
-    /**
-     * PR 6 baseline: one indivisible task per replica, claimed
-     * dynamically in index order. A fat replica claimed last leaves
-     * the other threads idling at the barrier.
-     */
-    kSingleShot,
-
-    /**
-     * Each replica's window is split into bounded event-count slices
-     * executed from per-thread deques, seeded fattest-first
-     * (longest-processing-time-first on the pending-token estimate)
-     * with idle threads stealing queued work.
-     */
-    kWorkStealing,
-};
-
 /** Fleet composition: one ServingConfig per replica. */
 struct ClusterConfig
 {
@@ -72,17 +47,6 @@ struct ClusterConfig
      * stochastic policies stay reproducible under parallel execution.
      */
     uint64_t seed = 0x9E3779B97F4A7C15ull;
-
-    /** Advance-phase scheduling policy (single-threaded engines run
-     * the plain serial loop regardless). */
-    AdvanceMode advance_mode = AdvanceMode::kWorkStealing;
-
-    /**
-     * Max Step() calls per work-stealing slice; <= 0 means unbounded
-     * (a replica's whole window is one slice). Granularity knob for
-     * scheduling/preemption only — never affects results.
-     */
-    int advance_slice_events = 64;
 
     /** N identical replicas of one base config. */
     static ClusterConfig Homogeneous(const serve::ServingConfig& base,
@@ -106,10 +70,8 @@ using SchedulerFactory =
  *     horizon T (+inf once the trace is drained).
  *  2. *Parallel advance*: every replica whose NextEventTime() is
  *     strictly before T is advanced Step() by Step() up to T on the
- *     worker pool — either as one task per replica
- *     (AdvanceMode::kSingleShot) or as bounded event-count slices on
- *     work-stealing deques seeded fattest-first
- *     (AdvanceMode::kWorkStealing, the default; docs/DESIGN.md S8.4).
+ *     worker pool, one task per replica, dispatched longest-first by
+ *     pending work tokens (docs/DESIGN.md S8.4).
  *     Replicas never read each other's state, so any thread schedule
  *     produces the same per-replica result; metrics fold into
  *     per-replica buffers, so no write is shared either.
@@ -232,23 +194,18 @@ class ClusterEngine
 
     /**
      * Phase 2: advance one replica toward (strictly before) the
-     * horizon, folding step results into its accumulator; stops early
-     * after `max_events` Step() calls when max_events > 0. Returns
-     * true when the replica reached the horizon (false = more slices
-     * needed). The slice boundary carries no state — the loop resumes
-     * exactly where it stopped — so slicing is invisible to results.
+     * horizon, folding step results into its accumulator.
      */
-    bool AdvanceReplica(size_t r, double horizon, long max_events,
-                        ReplicaAccum& accum);
+    void AdvanceReplica(size_t r, double horizon, ReplicaAccum& accum);
 
     uint64_t seed_;
     std::vector<serve::ServingEngine> replicas_;
     std::unique_ptr<Router> router_;
     std::vector<Rng> replica_rngs_;
     ThreadPool pool_;
-    AdvanceMode advance_mode_;
-    long advance_slice_events_;
-    std::vector<ThreadPool::SeededTask> seed_scratch_;
+    /** Replicas with pre-horizon work this round, longest first;
+     * kept across rounds to reuse its storage. */
+    std::vector<size_t> advance_order_;
 
     /** [0] = router recorder, [r+1] = replica r's recorder. Sized
      * once by EnableTracing(); engines hold stable pointers in. */

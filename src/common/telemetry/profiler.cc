@@ -28,35 +28,26 @@ ClusterProfile::FillRegistry(MetricRegistry& registry,
     registry.SetGauge(prefix + "run.seconds", run.seconds);
     registry.AddCounter(prefix + "pool.rounds", pool_rounds);
     double pool_busy = 0.0;
-    double pool_steal = 0.0;
     double pool_wait = 0.0;
-    long pool_steals = 0;
     long pool_tasks = 0;
     for (size_t i = 0; i < threads.size(); ++i) {
         const std::string base = prefix + "thread" + std::to_string(i);
         registry.SetGauge(base + ".busy_seconds", threads[i].busy);
-        registry.SetGauge(base + ".steal_seconds",
-                          threads[i].steal_busy);
         registry.SetGauge(base + ".barrier_wait_seconds",
                           threads[i].barrier_wait);
         registry.AddCounter(base + ".tasks", threads[i].tasks);
-        registry.AddCounter(base + ".steals", threads[i].steals);
         pool_busy += threads[i].busy;
-        pool_steal += threads[i].steal_busy;
         pool_wait += threads[i].barrier_wait;
-        pool_steals += threads[i].steals;
         pool_tasks += threads[i].tasks;
     }
     if (!threads.empty()) {
-        const double pool_total = pool_busy + pool_steal + pool_wait;
+        const double pool_total = pool_busy + pool_wait;
         registry.SetGauge(prefix + "pool.busy_seconds", pool_busy);
-        registry.SetGauge(prefix + "pool.steal_seconds", pool_steal);
         registry.SetGauge(prefix + "pool.barrier_wait_seconds",
                           pool_wait);
         registry.SetGauge(
             prefix + "pool.barrier_wait_fraction",
             pool_total > 0.0 ? pool_wait / pool_total : 0.0);
-        registry.AddCounter(prefix + "pool.steals", pool_steals);
         registry.AddCounter(prefix + "pool.tasks", pool_tasks);
     }
 }
@@ -75,15 +66,14 @@ ClusterProfile::Summary() const
     out += buf;
     for (size_t i = 0; i < threads.size(); ++i) {
         const ThreadStat& t = threads[i];
-        double total = t.busy + t.steal_busy + t.barrier_wait;
+        double total = t.busy + t.barrier_wait;
         std::snprintf(buf, sizeof(buf),
-                      "  thread %zu%s: busy %.3fs, stolen %.3fs, "
-                      "barrier wait %.3fs (%.1f%% idle), %ld tasks "
-                      "(%ld stolen)\n",
+                      "  thread %zu%s: busy %.3fs, barrier wait %.3fs "
+                      "(%.1f%% idle), %ld tasks\n",
                       i, i == 0 ? " (caller)" : "", t.busy,
-                      t.steal_busy, t.barrier_wait,
+                      t.barrier_wait,
                       total > 0.0 ? 100.0 * t.barrier_wait / total : 0.0,
-                      t.tasks, t.steals);
+                      t.tasks);
         out += buf;
     }
     return out;

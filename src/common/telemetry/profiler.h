@@ -41,16 +41,10 @@ struct PhaseStat
 
 /**
  * One executing thread's split of an epoch-structured parallel
- * region: `busy` is time spent running tasks claimed from its own
- * share (static index range or own deque), `barrier_wait` is time
- * between finishing its share and the epoch's last task completing.
- * Under the work-stealing mode (docs/DESIGN.md S8.4) `steal_busy`
- * separates time spent executing slices stolen from another thread's
- * deque — work that under single-shot scheduling would have been
- * barrier wait — and `steals` counts those stolen executions. The
- * three time buckets are disjoint: busy + steal_busy + barrier_wait
- * covers the thread's epoch residency. `tasks` counts every task
- * execution (each work-stealing slice counts once, stolen or not).
+ * region: `busy` is time spent running claimed tasks, `barrier_wait`
+ * is time between finishing its last task and the epoch's last task
+ * completing; together they cover the thread's epoch residency.
+ * `tasks` counts task executions.
  *
  * New fields go after `tasks`: aggregate initialization
  * (`ThreadStat{busy, wait, tasks}`) is part of the de-facto API.
@@ -60,6 +54,8 @@ struct ThreadStat
     double busy = 0.0;
     double barrier_wait = 0.0;
     long tasks = 0;
+    /** Always 0: the pool no longer steals work. Kept only because
+     * perfbench/workloads.cc still reads them. */
     double steal_busy = 0.0;
     long steals = 0;
 };
@@ -85,10 +81,10 @@ struct ClusterProfile
     /**
      * Publish under `<prefix>advance.seconds`,
      * `<prefix>thread<i>.busy_seconds`, ... plus pool-wide rollups
-     * (`<prefix>pool.busy_seconds`, `.steal_seconds`,
-     * `.barrier_wait_seconds`, `.barrier_wait_fraction`, `.steals`,
-     * `.tasks`) summed over threads (docs/OBSERVABILITY.md naming
-     * scheme; prefix normally "profile.").
+     * (`<prefix>pool.busy_seconds`, `.barrier_wait_seconds`,
+     * `.barrier_wait_fraction`, `.tasks`) summed over threads
+     * (docs/OBSERVABILITY.md naming scheme; prefix normally
+     * "profile.").
      */
     void FillRegistry(MetricRegistry& registry,
                       const std::string& prefix) const;

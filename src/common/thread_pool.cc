@@ -4,8 +4,6 @@
  */
 #include "common/thread_pool.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace pod {
@@ -17,10 +15,6 @@ ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads)
     profile_.assign(static_cast<size_t>(num_threads),
                     telemetry::ThreadStat{});
     finish_time_.assign(static_cast<size_t>(num_threads), 0.0);
-    deques_.reserve(static_cast<size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i) {
-        deques_.push_back(std::make_unique<StealDeque>());
-    }
     workers_.reserve(static_cast<size_t>(num_threads - 1));
     for (int i = 0; i < num_threads - 1; ++i) {
         workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
@@ -76,9 +70,11 @@ ThreadPool::ResetProfile()
 void
 ThreadPool::RunTasks(int slot)
 {
-    // Dynamic index claiming: fine for this library's use, where a
-    // "task" is advancing one replica for a whole time window (coarse
-    // and uneven), so stealing granularity matters more than locality.
+    // Dynamic index claiming in ascending order: a "task" here is
+    // advancing one replica for a whole time window (coarse and
+    // uneven), so a shared claim counter keeps every thread busy
+    // while any index is unclaimed, and callers that list long tasks
+    // first get longest-first list scheduling.
     const bool prof = profiling_;
     double busy = 0.0;
     long tasks = 0;
@@ -110,92 +106,10 @@ ThreadPool::RunTasks(int slot)
 }
 
 void
-ThreadPool::RunStealTasks(int slot)
-{
-    const bool prof = profiling_;
-    double busy = 0.0;
-    double steal_busy = 0.0;
-    long tasks = 0;
-    long steals = 0;
-    StealDeque& own = *deques_[static_cast<size_t>(slot)];
-    while (true) {
-        int index = -1;
-        bool stolen = false;
-        {
-            std::lock_guard<std::mutex> lock(own.mu);
-            if (!own.items.empty()) {
-                index = own.items.front();
-                own.items.pop_front();
-            }
-        }
-        if (index < 0) {
-            // Own deque drained: scan the neighbours round-robin and
-            // steal from the thief end (the victim's smallest
-            // remaining estimate — its owner keeps the fat front).
-            for (int k = 1; k < num_threads_ && index < 0; ++k) {
-                StealDeque& victim =
-                    *deques_[static_cast<size_t>((slot + k) %
-                                                 num_threads_)];
-                std::lock_guard<std::mutex> lock(victim.mu);
-                if (!victim.items.empty()) {
-                    index = victim.items.back();
-                    victim.items.pop_back();
-                    stolen = true;
-                }
-            }
-        }
-        if (index < 0) {
-            // Nothing queued anywhere. Any still-unfinished task is
-            // executing on some thread right now, and a not-done
-            // slice requeues to the *front of its executor's own
-            // deque* — the executor pops it straight back, so no
-            // durable work can reappear for us. Leaving the epoch is
-            // safe and keeps idle threads parked instead of spinning.
-            break;
-        }
-        const double t0 = prof ? telemetry::WallSeconds() : 0.0;
-        bool done = true;
-        try {
-            done = (*resumable_)(index);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (!error_) error_ = std::current_exception();
-            // A throwing slice counts as finished: requeuing it would
-            // likely rethrow forever. `done` stays true.
-        }
-        if (prof) {
-            const double dt = telemetry::WallSeconds() - t0;
-            if (stolen) {
-                steal_busy += dt;
-                ++steals;
-            } else {
-                busy += dt;
-            }
-            ++tasks;
-        }
-        if (!done) {
-            std::lock_guard<std::mutex> lock(own.mu);
-            own.items.push_front(index);
-        }
-    }
-    if (prof) {
-        const double finished = telemetry::WallSeconds();
-        const auto s = static_cast<size_t>(slot);
-        std::lock_guard<std::mutex> lock(mu_);
-        profile_[s].busy += busy;
-        profile_[s].steal_busy += steal_busy;
-        profile_[s].tasks += tasks;
-        profile_[s].steals += steals;
-        finish_time_[s] = finished;
-    }
-}
-
-void
 ThreadPool::WorkerLoop(int slot)
 {
     long seen_epoch = 0;
     while (true) {
-        bool stealing;
         {
             std::unique_lock<std::mutex> lock(mu_);
             work_cv_.wait(lock, [&] {
@@ -203,13 +117,8 @@ ThreadPool::WorkerLoop(int slot)
             });
             if (stop_) return;
             seen_epoch = epoch_;
-            stealing = stealing_;
         }
-        if (stealing) {
-            RunStealTasks(slot);
-        } else {
-            RunTasks(slot);
-        }
+        RunTasks(slot);
         {
             std::lock_guard<std::mutex> lock(mu_);
             ++workers_done_;
@@ -241,7 +150,6 @@ ThreadPool::ParallelFor(int count, const std::function<void(int)>& task)
         count_ = count;
         next_.store(0, std::memory_order_relaxed);
         workers_done_ = 0;
-        stealing_ = false;
         error_ = nullptr;
         ++epoch_;
     }
@@ -263,87 +171,6 @@ ThreadPool::ParallelFor(int count, const std::function<void(int)>& task)
             // Every executing thread has stamped finish_time_ by now
             // (workers increment workers_done_ only after RunTasks);
             // the gap to the epoch's end is its barrier wait.
-            const double epoch_end = telemetry::WallSeconds();
-            for (size_t s = 0; s < profile_.size(); ++s) {
-                profile_[s].barrier_wait += epoch_end - finish_time_[s];
-            }
-        }
-    }
-    if (error) std::rethrow_exception(error);
-}
-
-void
-ThreadPool::ParallelForTasks(const std::vector<SeededTask>& tasks,
-                             const std::function<bool(int)>& task)
-{
-    if (tasks.empty()) return;
-
-    // LPT order: descending estimate, stable so ties keep caller
-    // order — scheduling stays deterministic for a given input.
-    sorted_.assign(tasks.begin(), tasks.end());
-    std::stable_sort(sorted_.begin(), sorted_.end(),
-                     [](const SeededTask& a, const SeededTask& b) {
-                         return a.estimated_work > b.estimated_work;
-                     });
-
-    if (num_threads_ == 1 || tasks.size() == 1) {
-        // Inline degenerate path: each task runs to completion in
-        // seeded order on the caller; exceptions propagate directly.
-        const bool prof = profiling_;
-        const double t0 = prof ? telemetry::WallSeconds() : 0.0;
-        long executions = 0;
-        for (const SeededTask& t : sorted_) {
-            bool done = false;
-            while (!done) {
-                done = task(t.index);
-                ++executions;
-            }
-        }
-        if (prof) {
-            profile_[0].busy += telemetry::WallSeconds() - t0;
-            profile_[0].tasks += executions;
-        }
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        // Greedy LPT bin-packing: each task (fattest first) onto the
-        // currently least-loaded deque. Owners pop from the front, so
-        // every thread starts on its fattest seed. The floor keeps
-        // all-zero estimates spreading round-robin instead of piling
-        // onto deque 0.
-        load_.assign(static_cast<size_t>(num_threads_), 0.0);
-        for (const SeededTask& t : sorted_) {
-            size_t best = 0;
-            for (size_t s = 1; s < load_.size(); ++s) {
-                if (load_[s] < load_[best]) best = s;
-            }
-            deques_[best]->items.push_back(t.index);
-            load_[best] += std::max(t.estimated_work, 1.0);
-        }
-        resumable_ = &task;
-        workers_done_ = 0;
-        stealing_ = true;
-        error_ = nullptr;
-        ++epoch_;
-    }
-    work_cv_.notify_all();
-
-    RunStealTasks(0);  // the caller is one of the executing threads
-
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        done_cv_.wait(lock, [&] {
-            return workers_done_ ==
-                   static_cast<int>(workers_.size());
-        });
-        resumable_ = nullptr;
-        stealing_ = false;
-        error = error_;
-        error_ = nullptr;
-        if (profiling_) {
             const double epoch_end = telemetry::WallSeconds();
             for (size_t s = 0; s < profile_.size(); ++s) {
                 profile_[s].barrier_wait += epoch_end - finish_time_[s];

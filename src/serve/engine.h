@@ -271,8 +271,8 @@ class ServingEngine
     /**
      * Unprocessed prefill tokens plus remaining decode tokens across
      * unfinished requests — the cluster layer's relative cost
-     * estimate for this replica's remaining window
-     * (longest-processing-time-first seeding, docs/DESIGN.md S8.4).
+     * estimate for this replica's remaining window (longest-first
+     * advance dispatch, docs/DESIGN.md S8.4).
      * Scheduling hint only: the value never feeds back into any
      * simulated quantity. O(1).
      */

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "serve/trace.h"
 
@@ -251,6 +253,72 @@ TEST(ClusterEngineTest, WatermarkFleetSurfacesPreemptionCounters)
         per_replica_preemptions += replica.preemptions;
     }
     EXPECT_EQ(per_replica_preemptions, report.preemptions);
+}
+
+/** Sarathi scheduler that logs its replica index on every Next(). */
+class LoggingScheduler : public serve::Scheduler
+{
+  public:
+    LoggingScheduler(int replica, std::vector<int>* log)
+        : replica_(replica), log_(log)
+    {
+    }
+
+    using serve::Scheduler::Next;
+    serve::SchedulingDecision
+    Next(double now, std::vector<serve::RequestState>& requests,
+         serve::KvAllocator& kv, size_t active_begin,
+         size_t& admitted_end) override
+    {
+        log_->push_back(replica_);
+        return inner_.Next(now, requests, kv, active_begin,
+                           admitted_end);
+    }
+
+    std::string Name() const override { return inner_.Name(); }
+
+  private:
+    int replica_;
+    std::vector<int>* log_;
+    serve::SarathiScheduler inner_{512};
+};
+
+TEST(ClusterEngineTest, AdvanceDispatchIsLongestFirst)
+{
+    // An offline trace queues everything at t = 0, so the whole drain
+    // is one advance round. Round-robin hands replica r requests r and
+    // r + 4; their prompt lengths give unequal backlogs
+    // (replica 1 > replicas 2 = 3 > replica 0). The dispatch must run
+    // the biggest backlog first, ties in replica order — even on one
+    // thread, where the pool runs its list inline.
+    constexpr int kPrefill[] = {256, 4096, 1024, 1024};
+    std::vector<serve::Request> trace;
+    for (int i = 0; i < 8; ++i) {
+        serve::Request r;
+        r.id = i;
+        r.arrival_time = 0.0;
+        r.prefill_tokens = kPrefill[i % 4];
+        r.decode_tokens = 16;
+        trace.push_back(r);
+    }
+    std::vector<int> log;
+    ClusterEngine cluster(
+        ClusterConfig::Homogeneous(BaseConfig(), 4),
+        [&log](int replica) {
+            return std::make_unique<LoggingScheduler>(replica, &log);
+        },
+        std::make_unique<RoundRobinRouter>(), /*num_threads=*/1);
+    ClusterMetricsReport report = cluster.Run(trace);
+    ASSERT_EQ(report.fleet.num_requests, 8);
+
+    std::vector<int> first_next;
+    for (int replica : log) {
+        if (std::find(first_next.begin(), first_next.end(), replica) ==
+            first_next.end()) {
+            first_next.push_back(replica);
+        }
+    }
+    EXPECT_EQ(first_next, (std::vector<int>{1, 2, 3, 0}));
 }
 
 TEST(ClusterEngineDeathTest, EmptyFleetIsFatal)

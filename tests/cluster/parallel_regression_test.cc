@@ -6,9 +6,11 @@
  * {1, 2, 4, hardware_concurrency}, must produce a
  * ClusterMetricsReport and per-request completion records that
  * compare *exactly equal* — bit-identical doubles, not approximately
- * — to the single-threaded oracle. Also pins the replica-RNG
- * discipline: streams are derived from (cluster seed, replica index)
- * and reseeded serially, so their state is independent of the thread
+ * — to the single-threaded oracle, plus identical Chrome-trace bytes
+ * for the heterogeneous fleet. Two scenarios are also swept at odd
+ * and oversubscribed pool widths. Also pins the replica-RNG discipline:
+ * streams are derived from (cluster seed, replica index) and
+ * reseeded serially, so their state is independent of the thread
  * schedule.
  */
 #include "cluster/cluster_engine.h"
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,7 +71,7 @@ struct Scenario
  * Coarse memo-cache buckets for every scenario: the net compares
  * serial vs parallel (both sides share the bucketing), so cost-model
  * resolution is irrelevant and warm caches keep the
- * 5-scenario x 5-router x 4-thread-count sweep fast enough for the
+ * 6-scenario x 5-router x 4-thread-count sweep fast enough for the
  * sanitizer jobs.
  */
 void
@@ -117,6 +120,39 @@ HeterogeneousFleet()
 }
 
 /**
+ * An offline burst on an 8-replica mixed H100/A6000 fleet: every
+ * request queued at t = 0, so the whole drain is one advance window
+ * with uneven per-replica backlogs — the shape where longest-first
+ * dispatch reorders the most work, mirroring bench_cluster_scaling's
+ * heterogeneous pin in miniature.
+ */
+Scenario
+OfflineBurstMixedFleet()
+{
+    serve::ServingConfig base;
+    base.backend = core::Backend::kFaSerial;
+    CoarsenBuckets(base);
+    Scenario s;
+    s.name = "offline-burst-mixed";
+    s.config.replicas.assign(8, base);
+    for (size_t r = 0; r < s.config.replicas.size(); ++r) {
+        s.config.replicas[r].gpu = r % 2 == 0
+                                       ? gpusim::GpuSpec::H100Sxm80GB()
+                                       : gpusim::GpuSpec::RtxA6000();
+    }
+    s.token_budget = 1024;
+    for (int i = 0; i < 64; ++i) {
+        serve::Request r;
+        r.id = i;
+        r.arrival_time = 0.0;
+        r.prefill_tokens = 256 + 613 * (i % 8) + (i % 9 == 0 ? 4000 : 0);
+        r.decode_tokens = 8 + 23 * (i % 7);
+        s.trace.push_back(r);
+    }
+    return s;
+}
+
+/**
  * OverloadTrace on a memory-tight watermark fleet: the regime where
  * replicas evict and re-admit requests, so the parallel engine must
  * reproduce every lifecycle transition (and, under kSwap, the PCIe
@@ -156,7 +192,8 @@ SingleReplicaFleet()
 }
 
 void
-RunScenarioSweep(const Scenario& scenario)
+RunScenarioSweep(const Scenario& scenario,
+                 const std::vector<int>& thread_counts = ThreadCounts())
 {
     for (const std::string& router : RouterNames()) {
         SCOPED_TRACE("router " + router);
@@ -165,7 +202,7 @@ RunScenarioSweep(const Scenario& scenario)
                              MakeRouter(router), /*num_threads=*/1);
         ClusterMetricsReport expected = oracle.Run(scenario.trace);
 
-        for (int threads : ThreadCounts()) {
+        for (int threads : thread_counts) {
             SCOPED_TRACE(::testing::Message() << "threads " << threads);
             ClusterEngine parallel(scenario.config,
                                    Sarathi(scenario.token_budget),
@@ -189,6 +226,12 @@ TEST(ParallelRegressionTest,
 }
 
 TEST(ParallelRegressionTest,
+     OfflineBurstMixedFleetBitIdenticalAcrossThreadCounts)
+{
+    RunScenarioSweep(OfflineBurstMixedFleet());
+}
+
+TEST(ParallelRegressionTest,
      WatermarkSwapOverloadBitIdenticalAcrossThreadCounts)
 {
     RunScenarioSweep(WatermarkOverloadFleet(serve::PreemptMode::kSwap));
@@ -205,6 +248,51 @@ TEST(ParallelRegressionTest,
      SingleReplicaDegeneratePathBitIdenticalAcrossThreadCounts)
 {
     RunScenarioSweep(SingleReplicaFleet());
+}
+
+/**
+ * Pool widths the main sweep does not reach on small hosts: an odd
+ * pool, and one wider than every fleet here, so some workers claim no
+ * replica in a round. The suite name and the "modes and slices" wording
+ * are kept from the advance-scheduling net these tests continue; pool
+ * width is the one scheduling axis the advance dispatch has left.
+ */
+const std::vector<int> kOddAndOversubscribedThreads = {3, 8};
+
+TEST(StealRegressionTest,
+     HeterogeneousFleetBitIdenticalAcrossModesAndSlices)
+{
+    RunScenarioSweep(HeterogeneousFleet(), kOddAndOversubscribedThreads);
+}
+
+TEST(StealRegressionTest,
+     WatermarkOverloadBitIdenticalAcrossModesAndSlices)
+{
+    RunScenarioSweep(WatermarkOverloadFleet(serve::PreemptMode::kSwap),
+                     kOddAndOversubscribedThreads);
+}
+
+TEST(ParallelRegressionTest, HeterogeneousTraceBytesIdenticalAtFourThreads)
+{
+    // The sim-time trace must also be schedule-independent: each
+    // replica's recorder is written by whichever thread advances it.
+    // Compare merged trace bytes against the serial oracle's.
+    Scenario s = HeterogeneousFleet();
+    ClusterEngine oracle(s.config, Sarathi(s.token_budget),
+                         MakeRouter("round-robin"), /*num_threads=*/1);
+    oracle.EnableTracing();
+    (void)oracle.Run(s.trace);
+
+    ClusterEngine parallel(s.config, Sarathi(s.token_budget),
+                           MakeRouter("round-robin"), /*num_threads=*/4);
+    parallel.EnableTracing();
+    (void)parallel.Run(s.trace);
+
+    std::ostringstream serial_trace;
+    std::ostringstream parallel_trace;
+    oracle.WriteChromeTrace(serial_trace);
+    parallel.WriteChromeTrace(parallel_trace);
+    EXPECT_EQ(serial_trace.str(), parallel_trace.str());
 }
 
 TEST(ParallelRegressionTest, RepeatedParallelRunsAreIdentical)

@@ -48,8 +48,6 @@ struct StressConfig
     int num_requests = 0;
     double qps = 0.0;  // 0 = offline (all arrivals at t=0)
     int threads = 2;
-    bool single_shot = false;  // advance mode (PR 6 baseline path)
-    int slice_events = 64;     // <= 0 = unbounded
 
     std::string
     Describe() const
@@ -64,9 +62,7 @@ struct StressConfig
            << " watermark=" << watermark << " swap=" << swap_mode
            << " memory_fraction=" << memory_fraction
            << " requests=" << num_requests << " qps=" << qps
-           << " threads=" << threads
-           << " mode=" << (single_shot ? "single-shot" : "steal")
-           << " slice=" << slice_events;
+           << " threads=" << threads;
         return os.str();
     }
 };
@@ -98,19 +94,6 @@ DrawConfig(Rng& rng, int index)
     c.num_requests = static_cast<int>(rng.UniformInt(6, 20));
     c.qps = rng.Bernoulli(0.5) ? rng.UniformReal(1.0, 8.0) : 0.0;
     c.threads = static_cast<int>(rng.UniformInt(2, 5));
-    // Mostly the work-stealing default (with a spread of slice
-    // granularities, including pathological 1 and unbounded 0); keep
-    // a single-shot minority so the PR 6 path stays under stress too.
-    // Drawn from a side stream so these scheduling-only knobs don't
-    // shift the main stream's trace draws (which are shaped to keep
-    // the preemption-coverage canary below satisfied).
-    Rng side(c.cluster_seed ^ 0x51ED5EEDull);
-    c.single_shot = side.Bernoulli(0.25);
-    if (!c.single_shot) {
-        constexpr int kSlices[] = {1, 2, 16, 64, 0};
-        c.slice_events =
-            kSlices[static_cast<size_t>(side.UniformInt(0, 4))];
-    }
     (void)index;
     return c;
 }
@@ -148,9 +131,6 @@ BuildFleet(const StressConfig& c)
     ClusterConfig fleet = ClusterConfig::Homogeneous(base,
                                                      c.num_replicas);
     fleet.seed = c.cluster_seed;
-    fleet.advance_mode = c.single_shot ? AdvanceMode::kSingleShot
-                                       : AdvanceMode::kWorkStealing;
-    fleet.advance_slice_events = c.slice_events;
     for (int r = 0; r < c.num_replicas; ++r) {
         fleet.replicas[static_cast<size_t>(r)].gpu =
             PickGpu(c.gpu_picks[static_cast<size_t>(r)]);

@@ -5,9 +5,7 @@
  * before ParallelFor returns, and epochs never overlap), exception
  * propagation from workers, pool reuse across many epochs, the
  * degenerate zero-task / one-task / one-thread paths, and the
- * work-stealing ParallelForTasks contract (requeue until done, one
- * execution of an index at a time, LPT seeding, steal accounting).
- * This file is part of the TSan CI net (`common.` filter).
+ * per-thread profile. This file is part of the TSan CI net (`common.` filter).
  */
 #include "common/thread_pool.h"
 
@@ -189,8 +187,8 @@ TEST(ThreadPoolTest, ProfilingAttributesBarrierWaitToFastThreads)
 {
     // One deliberately slow task: the other executing threads finish
     // their (empty) share early and must be charged barrier-wait time
-    // roughly matching the straggler — the measurement the ROADMAP
-    // work-stealing item needs.
+    // roughly matching the straggler — the imbalance the cluster's
+    // longest-first advance dispatch is measured against.
     ThreadPool pool(2);
     pool.EnableProfiling(true);
     pool.ParallelFor(2, [&](int i) {
@@ -234,269 +232,21 @@ TEST(ThreadPoolTest, ProfilingInlinePathChargesCaller)
     EXPECT_GE(profile[0].busy, 0.0);
 }
 
-// ---- ParallelForTasks (work-stealing mode) ----
-
-/** Seeds with uniform estimates for n indices. */
-std::vector<ThreadPool::SeededTask>
-UniformSeeds(int n, double estimate = 1.0)
-{
-    std::vector<ThreadPool::SeededTask> seeds;
-    for (int i = 0; i < n; ++i) seeds.push_back({i, estimate});
-    return seeds;
-}
-
-TEST(ThreadPoolTest, TasksRequeueUntilDoneExactExecutionCounts)
-{
-    // The requeue contract: task(i) runs once per slice until it
-    // returns true — here index i needs (i % 5) + 1 slices, at every
-    // thread count including the inline path.
-    constexpr int kTasks = 23;
-    for (int threads : {1, 2, 4, 7}) {
-        ThreadPool pool(threads);
-        std::vector<std::atomic<int>> runs(kTasks);
-        for (auto& r : runs) r.store(0);
-        pool.ParallelForTasks(UniformSeeds(kTasks), [&](int i) {
-            const int nth =
-                runs[static_cast<size_t>(i)].fetch_add(1) + 1;
-            return nth == (i % 5) + 1;
-        });
-        for (int i = 0; i < kTasks; ++i) {
-            EXPECT_EQ(runs[static_cast<size_t>(i)].load(),
-                      (i % 5) + 1)
-                << "index " << i << " with " << threads << " threads";
-        }
-    }
-}
-
-TEST(ThreadPoolTest, TasksSlicesOfOneIndexNeverOverlap)
-{
-    // The determinism-critical half of the contract: one index is
-    // never executed by two threads at once — a task exists exactly
-    // once in the system (queued or executing), so its slice sequence
-    // is serialized even when it migrates between threads. The
-    // in-flight flag would trip (and TSan would flag the handoff) if
-    // a requeued slice could overlap its successor.
-    constexpr int kTasks = 12;
-    constexpr int kSlices = 200;
-    ThreadPool pool(4);
-    std::vector<std::atomic<bool>> in_flight(kTasks);
-    std::vector<std::atomic<int>> runs(kTasks);
-    for (auto& f : in_flight) f.store(false);
-    for (auto& r : runs) r.store(0);
-    std::atomic<int> overlaps{0};
-    pool.ParallelForTasks(UniformSeeds(kTasks), [&](int i) {
-        const auto s = static_cast<size_t>(i);
-        if (in_flight[s].exchange(true)) overlaps.fetch_add(1);
-        const int nth = runs[s].fetch_add(1) + 1;
-        in_flight[s].store(false);
-        return nth == kSlices;
-    });
-    EXPECT_EQ(overlaps.load(), 0);
-    for (const auto& r : runs) EXPECT_EQ(r.load(), kSlices);
-}
-
-TEST(ThreadPoolTest, TasksInlinePathRunsInSeededLptOrder)
-{
-    // One thread: tasks run to completion one after another in
-    // descending-estimate order, ties keeping caller order.
-    ThreadPool pool(1);
-    std::vector<int> order;
-    pool.ParallelForTasks(
-        {{0, 1.0}, {1, 5.0}, {2, 3.0}, {3, 3.0}},
-        [&](int i) {
-            order.push_back(i);
-            return order.size() % 2 == 0;  // every task takes 2 slices
-        });
-    const std::vector<int> expected = {1, 1, 2, 2, 3, 3, 0, 0};
-    EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, TasksPropagateExceptionAndNeverRequeueThrower)
-{
-    ThreadPool pool(3);
-    constexpr int kTasks = 16;
-    std::vector<std::atomic<int>> runs(kTasks);
-    for (auto& r : runs) r.store(0);
-    EXPECT_THROW(
-        pool.ParallelForTasks(
-            UniformSeeds(kTasks),
-            [&](int i) {
-                const int nth =
-                    runs[static_cast<size_t>(i)].fetch_add(1) + 1;
-                if (i == 7 && nth == 2) {
-                    throw std::runtime_error("slice 2 of task 7");
-                }
-                return nth == 3;
-            }),
-        std::runtime_error);
-    // The thrower stopped at its throwing slice (counts as finished,
-    // never requeued); every other task still ran all 3 slices.
-    for (int i = 0; i < kTasks; ++i) {
-        EXPECT_EQ(runs[static_cast<size_t>(i)].load(), i == 7 ? 2 : 3);
-    }
-    // The pool stays reusable.
-    std::atomic<int> after{0};
-    pool.ParallelForTasks(UniformSeeds(8), [&](int) {
-        after.fetch_add(1);
-        return true;
-    });
-    EXPECT_EQ(after.load(), 8);
-}
-
-TEST(ThreadPoolTest, TasksExceptionFromInlinePathPropagates)
-{
-    ThreadPool pool(1);
-    EXPECT_THROW(pool.ParallelForTasks(
-                     UniformSeeds(4),
-                     [](int) -> bool {
-                         throw std::logic_error("inline slice");
-                     }),
-                 std::logic_error);
-}
-
-TEST(ThreadPoolTest, TasksZeroIsANoOpAndSingleRunsInline)
-{
-    ThreadPool pool(4);
-    bool ran = false;
-    pool.ParallelForTasks({}, [&](int) {
-        ran = true;
-        return true;
-    });
-    EXPECT_FALSE(ran);
-
-    std::thread::id caller = std::this_thread::get_id();
-    std::thread::id ran_on;
-    int slices = 0;
-    pool.ParallelForTasks({{5, 2.0}}, [&](int i) {
-        EXPECT_EQ(i, 5);
-        ran_on = std::this_thread::get_id();
-        return ++slices == 3;
-    });
-    EXPECT_EQ(ran_on, caller);
-    EXPECT_EQ(slices, 3);
-}
-
-TEST(ThreadPoolTest, TasksZeroEstimatesStillCompleteEverywhere)
-{
-    // All-zero estimates exercise the seeding floor (spread instead
-    // of piling onto one deque); correctness must not care.
-    ThreadPool pool(4);
-    constexpr int kTasks = 31;
-    std::vector<std::atomic<int>> runs(kTasks);
-    for (auto& r : runs) r.store(0);
-    pool.ParallelForTasks(UniformSeeds(kTasks, 0.0), [&](int i) {
-        return runs[static_cast<size_t>(i)].fetch_add(1) + 1 == 2;
-    });
-    for (const auto& r : runs) EXPECT_EQ(r.load(), 2);
-}
-
-TEST(ThreadPoolTest, TasksReuseAcrossManyEpochsIsDeterministic)
-{
-    // The stealing analogue of the 500-epoch ParallelFor test: shared
-    // non-atomic state per index, mutated across requeued slices and
-    // epochs — the barrier plus the one-execution-at-a-time contract
-    // make this safe, and TSan verifies the handoffs.
-    ThreadPool pool(4);
-    constexpr int kSlots = 17;
-    constexpr int kEpochs = 250;
-    std::vector<long> sums(kSlots, 0);
-    std::vector<int> slices(kSlots, 0);
-    for (int e = 0; e < kEpochs; ++e) {
-        std::vector<ThreadPool::SeededTask> seeds;
-        for (int i = 0; i < kSlots; ++i) {
-            seeds.push_back({i, static_cast<double>(kSlots - i)});
-        }
-        pool.ParallelForTasks(seeds, [&](int i) {
-            const auto s = static_cast<size_t>(i);
-            sums[s] += i + 1;
-            return ++slices[s] % 3 == 0;  // 3 slices per epoch
-        });
-    }
-    for (int i = 0; i < kSlots; ++i) {
-        EXPECT_EQ(sums[static_cast<size_t>(i)],
-                  3l * kEpochs * (i + 1));
-    }
-}
-
-TEST(ThreadPoolTest, TasksStealWhenOwnDequeEmpties)
-{
-    // Deterministic steal setup with 2 threads and estimates
-    // {10, 9, 8}: LPT packs deque0 = [t0], deque1 = [t1, t2]. The
-    // thread that runs t1 blocks until t2 has executed — which can
-    // only happen if the other thread, its own deque drained, steals
-    // t2 from the back of deque1. A broken steal path times out here
-    // rather than deadlocking.
-    ThreadPool pool(2);
-    pool.EnableProfiling(true);
-    std::atomic<bool> t2_ran{false};
-    bool timed_out = false;
-    pool.ParallelForTasks(
-        {{0, 10.0}, {1, 9.0}, {2, 8.0}},
-        [&](int i) {
-            if (i == 2) t2_ran.store(true);
-            if (i == 1) {
-                const auto deadline =
-                    std::chrono::steady_clock::now() +
-                    std::chrono::seconds(30);
-                while (!t2_ran.load()) {
-                    if (std::chrono::steady_clock::now() > deadline) {
-                        timed_out = true;
-                        break;
-                    }
-                    std::this_thread::yield();
-                }
-            }
-            return true;
-        });
-    EXPECT_FALSE(timed_out) << "t2 was never stolen";
-    long steals = 0;
-    for (const auto& stat : pool.Profile()) steals += stat.steals;
-    EXPECT_GE(steals, 1);
-}
-
-TEST(ThreadPoolTest, TasksProfilingCountsEverySliceOnce)
-{
-    ThreadPool pool(4);
-    pool.EnableProfiling(true);
-    constexpr int kTasks = 20;
-    std::atomic<long> executions{0};
-    pool.ParallelForTasks(UniformSeeds(kTasks), [&](int) {
-        executions.fetch_add(1);
-        return true;
-    });
-    pool.ParallelForTasks(UniformSeeds(kTasks), [&](int) {
-        return executions.fetch_add(1) % 2 == 0;
-    });
-    long tasks = 0;
-    for (const auto& stat : pool.Profile()) {
-        tasks += stat.tasks;
-        EXPECT_GE(stat.busy, 0.0);
-        EXPECT_GE(stat.steal_busy, 0.0);
-        EXPECT_GE(stat.barrier_wait, 0.0);
-        EXPECT_GE(stat.steals, 0);
-    }
-    EXPECT_EQ(tasks, executions.load());
-}
-
 TEST(ThreadPoolTest, ProfileSnapshotIsImmutableAcrossLaterEpochs)
 {
-    // Profile() returns a copy taken under the pool mutex — the
-    // epoch-stamp fix: a snapshot held across later rounds must stay
-    // frozen (the old by-reference accessor was a live view that the
-    // next epoch's worker folds mutated under the reader).
+    // Profile() returns a copy taken under the pool mutex: a snapshot
+    // held across later rounds must stay frozen (a by-reference
+    // accessor would be a live view that the next epoch's worker
+    // folds mutate under the reader).
     ThreadPool pool(4);
     pool.EnableProfiling(true);
-    pool.ParallelForTasks(UniformSeeds(8), [](int) { return true; });
+    pool.ParallelFor(8, [](int) {});
     const std::vector<telemetry::ThreadStat> snapshot = pool.Profile();
     long snap_tasks = 0;
     for (const auto& stat : snapshot) snap_tasks += stat.tasks;
     EXPECT_EQ(snap_tasks, 8);
 
-    for (int e = 0; e < 50; ++e) {
-        pool.ParallelForTasks(UniformSeeds(8),
-                              [](int) { return true; });
-        pool.ParallelFor(8, [](int) {});
-    }
+    for (int e = 0; e < 50; ++e) pool.ParallelFor(16, [](int) {});
     long snap_tasks_after = 0;
     for (const auto& stat : snapshot) snap_tasks_after += stat.tasks;
     EXPECT_EQ(snap_tasks_after, 8);
