@@ -60,11 +60,26 @@ ClusterEngine::ClusterEngine(ClusterConfig config,
     POD_CHECK_ARG(router_ != nullptr, "cluster needs a router");
     replicas_.reserve(config.replicas.size());
     replica_rngs_.reserve(config.replicas.size());
+    // One attention cost table per cost identity: replica i joins the
+    // table of the first earlier replica with the same identity.
+    std::vector<size_t> table_of(config.replicas.size());
     for (size_t i = 0; i < config.replicas.size(); ++i) {
+        table_of[i] = attn_tables_.size();
+        for (size_t j = 0; j < i; ++j) {
+            if (config.replicas[j].SameAttnCost(config.replicas[i])) {
+                table_of[i] = table_of[j];
+                break;
+            }
+        }
+        if (table_of[i] == attn_tables_.size()) {
+            attn_tables_.push_back(
+                std::make_shared<serve::AttnCostTable>());
+        }
         auto scheduler = make_scheduler(static_cast<int>(i));
         POD_CHECK_ARG(scheduler != nullptr,
                       "scheduler factory returned null");
-        replicas_.emplace_back(config.replicas[i], std::move(scheduler));
+        replicas_.emplace_back(config.replicas[i], std::move(scheduler),
+                               attn_tables_[table_of[i]]);
         replica_rngs_.emplace_back(DeriveSeed(seed_, i));
     }
 }
@@ -264,8 +279,8 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
     report.num_replicas = static_cast<int>(num_replicas);
     report.utilization = std::move(util);
 
-    std::vector<serve::RequestState> fleet_states;
-    fleet_states.reserve(requests.size());
+    std::vector<const std::vector<serve::RequestState>*> fleet_states;
+    fleet_states.reserve(num_replicas);
     double fleet_makespan = 0.0;
     long fleet_iterations = 0;
     double fleet_tokens = 0.0;
@@ -284,9 +299,7 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                 : 0.0;
         report += report.per_replica[r];
         report.preemptions += report.per_replica[r].preemptions;
-        fleet_states.insert(fleet_states.end(),
-                            replica.States().begin(),
-                            replica.States().end());
+        fleet_states.push_back(&replica.States());
         fleet_makespan = std::max(fleet_makespan, replica.Now());
         fleet_iterations += replica.Iterations();
         fleet_tokens += replica.TotalBatchTokens();
@@ -303,6 +316,9 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
     // the pooled states; every engine counter lives only in the
     // engines, so the fleet takes the rollup.
     static_cast<serve::EngineCounters&>(report.fleet) = report;
+    for (const auto& table : attn_tables_) {
+        report.attn_table_entries += static_cast<long>(table->Size());
+    }
     report.request_imbalance_cv = CoefficientOfVariation(request_counts);
     report.token_imbalance_cv = CoefficientOfVariation(token_counts);
     if (prof) {

@@ -5,8 +5,13 @@
  * replicas by a pluggable Router (docs/DESIGN.md S8).
  *
  * Each replica is a full ServingEngine — its own scheduler, KV
- * manager and attention memo cache — so fleets may mix GPU specs,
- * tensor-parallel degrees and scheduler policies freely.
+ * manager, attention memo cache and counters — so fleets may mix GPU
+ * specs, tensor-parallel degrees and scheduler policies freely. The
+ * only state replicas share is a pure-value table of simulated
+ * attention costs, one per cost identity
+ * (serve::ServingConfig::SameAttnCost): a signature one replica
+ * simulated is served to the others from the table
+ * (docs/DESIGN.md S5.4).
  *
  * Execution is phase-structured (docs/DESIGN.md S8): replicas only
  * interact at routing events, so between consecutive arrivals every
@@ -203,6 +208,9 @@ class ClusterEngine
     std::unique_ptr<Router> router_;
     std::vector<Rng> replica_rngs_;
     ThreadPool pool_;
+    /** One shared attention cost table per cost identity, in order of
+     * the identity's first replica. */
+    std::vector<std::shared_ptr<serve::AttnCostTable>> attn_tables_;
     /** Replicas with pre-horizon work this round, longest first;
      * kept across rounds to reuse its storage. */
     std::vector<size_t> advance_order_;

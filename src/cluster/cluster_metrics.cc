@@ -29,6 +29,8 @@ FillRegistry(const ClusterMetricsReport& report,
     registry.SetGauge(prefix + "imbalance.tokens_cv",
                       report.token_imbalance_cv);
     registry.AddCounter(prefix + "preempt.total", report.preemptions);
+    registry.SetGauge(prefix + "attn_table.entries",
+                      static_cast<double>(report.attn_table_entries));
     serve::FillCounters(report, registry, prefix);
 
     serve::FillRegistry(report.fleet, registry, prefix + "fleet.");

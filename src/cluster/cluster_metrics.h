@@ -73,6 +73,15 @@ struct ClusterMetricsReport : serve::EngineCounters
 
     /** Fleet-wide preemption events (sum over per_replica). */
     long preemptions = 0;
+
+    /**
+     * Signatures held by the fleet's shared attention cost tables,
+     * summed over tables (one per cost identity, docs/DESIGN.md
+     * S5.4): the distinct signatures the fleet simulated. Each table
+     * holds the union of its replicas' memo-cache keys, so the value
+     * does not depend on the thread schedule.
+     */
+    long attn_table_entries = 0;
 };
 
 /**

@@ -52,6 +52,16 @@ struct PodOptions
      * SM-aware scheduling.
      */
     bool persistent = false;
+
+    /** Field-by-field equality. */
+    bool
+    operator==(const PodOptions& o) const
+    {
+        return policy == o.policy && ctas_per_sm == o.ctas_per_sm &&
+               split_policy == o.split_policy &&
+               virtual_ctas_per_physical == o.virtual_ctas_per_physical &&
+               persistent == o.persistent;
+    }
 };
 
 /** Printable names. */

@@ -78,6 +78,16 @@ struct SimOptions
 
     /** Event core to run (see EngineCore). */
     EngineCore core = EngineCore::kAnalytic;
+
+    /** Field-by-field equality. */
+    bool
+    operator==(const SimOptions& o) const
+    {
+        return seed == o.seed && record_cta_times == o.record_cta_times &&
+               placement_jitter == o.placement_jitter &&
+               kernel_launch_overhead == o.kernel_launch_overhead &&
+               core == o.core;
+    }
 };
 
 /**

@@ -28,6 +28,28 @@ GpuSpec::Validate() const
     POD_CHECK_ARG(pcie_bandwidth > 0, "PCIe bandwidth must be > 0");
 }
 
+bool
+GpuSpec::operator==(const GpuSpec& o) const
+{
+    return name == o.name && num_sms == o.num_sms &&
+           tensor_flops_per_sm == o.tensor_flops_per_sm &&
+           cuda_flops_per_sm == o.cuda_flops_per_sm &&
+           hbm_bandwidth == o.hbm_bandwidth &&
+           sm_bandwidth_cap == o.sm_bandwidth_cap &&
+           warp_bandwidth_cap == o.warp_bandwidth_cap &&
+           warps_per_tensor_saturation == o.warps_per_tensor_saturation &&
+           warps_per_cuda_saturation == o.warps_per_cuda_saturation &&
+           shared_mem_per_sm == o.shared_mem_per_sm &&
+           max_threads_per_sm == o.max_threads_per_sm &&
+           max_ctas_per_sm == o.max_ctas_per_sm &&
+           hbm_capacity == o.hbm_capacity &&
+           nvlink_bandwidth == o.nvlink_bandwidth &&
+           pcie_bandwidth == o.pcie_bandwidth &&
+           idle_power_w == o.idle_power_w &&
+           tensor_power_w == o.tensor_power_w &&
+           cuda_power_w == o.cuda_power_w && hbm_power_w == o.hbm_power_w;
+}
+
 GpuSpec
 GpuSpec::A100Sxm80GB()
 {

@@ -116,6 +116,9 @@ struct GpuSpec
     /** Validate internal consistency; Fatal() on nonsensical values. */
     void Validate() const;
 
+    /** Field-by-field equality (name included). */
+    bool operator==(const GpuSpec& other) const;
+
     /** NVIDIA A100-SXM4-80GB preset (the paper's testbed GPU). */
     static GpuSpec A100Sxm80GB();
 

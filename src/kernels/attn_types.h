@@ -47,6 +47,14 @@ struct AttnShape
 
     /** Validate; Fatal on inconsistent values. */
     void Validate() const;
+
+    /** Field-by-field equality. */
+    bool
+    operator==(const AttnShape& o) const
+    {
+        return num_q_heads == o.num_q_heads &&
+               num_kv_heads == o.num_kv_heads && head_dim == o.head_dim;
+    }
 };
 
 /** One chunked prefill in a hybrid batch. */

@@ -31,11 +31,14 @@ namespace pod::serve {
     /* Swap-in + swap-out PCIe time charged (seconds). */                    \
     X(double, swap_time_total, "swap.total_seconds", kGauge)                 \
     /* Attention memo cache (docs/DESIGN.md S5.4); entries is the */         \
-    /* current cache size, which survives Reset(). */                        \
+    /* current cache size, which survives Reset(). A miss is the first */    \
+    /* lookup of a signature on this replica, served from the fleet */       \
+    /* table or simulated. */                                                \
     X(long, attn_cache_entries, "attn_cache.entries", kCounter)              \
     X(long, attn_cache_hits, "attn_cache.hits", kCounter)                    \
     X(long, attn_cache_misses, "attn_cache.misses", kCounter)                \
-    /* Sim-core events of memo-cache misses (docs/DESIGN.md S3.2). */        \
+    /* Sim-core events of memo-cache misses, as simulated or as stored */    \
+    /* in the fleet table (docs/DESIGN.md S3.2). */                          \
     X(long, sim_fastpath_events, "sim_core.fastpath_events", kCounter)       \
     X(long, sim_fallback_events, "sim_core.fallback_events", kCounter)       \
     /* Work executed. Prefix-cache hits are never prefilled, so */           \

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -44,6 +45,26 @@ BucketUp(int v, int bucket)
     return RoundUp(v, bucket);
 }
 
+/** Simulate one bucketed signature's per-layer attention. */
+AttnCost
+SimulateAttn(const ServingConfig& config, const AttnSignature& key)
+{
+    kernels::HybridBatch batch;
+    batch.shape = config.model.ShapePerGpu(config.tensor_parallel);
+    if (key.chunk > 0) {
+        batch.prefills.push_back(
+            kernels::PrefillItem{key.chunk, std::max(key.kv, key.chunk)});
+    }
+    if (key.decode_bs > 0) {
+        batch.decode = kernels::DecodeItem::Uniform(key.decode_bs,
+                                                    key.context);
+    }
+    core::AttnRunResult result = core::RunAttention(
+        config.backend, batch, config.gpu, config.attn_options);
+    return AttnCost{result.total_time, result.analytic_fastpath_events,
+                    result.oracle_fallback_events};
+}
+
 }  // namespace
 
 long
@@ -56,31 +77,30 @@ ServingConfig::KvTokenCapacity() const
         usable / model.KvBytesPerTokenPerGpu(tensor_parallel));
 }
 
+bool
+ServingConfig::SameAttnCost(const ServingConfig& other) const
+{
+    // Exactly the inputs SimulateAttn passes to RunAttention besides
+    // the signature.
+    return model.ShapePerGpu(tensor_parallel) ==
+               other.model.ShapePerGpu(other.tensor_parallel) &&
+           gpu == other.gpu && backend == other.backend &&
+           attn_options.pod == other.attn_options.pod &&
+           attn_options.sim == other.attn_options.sim;
+}
+
 ServingEngine::ServingEngine(ServingConfig config,
-                             std::unique_ptr<Scheduler> scheduler)
-    : config_(std::move(config)), scheduler_(std::move(scheduler))
+                             std::unique_ptr<Scheduler> scheduler,
+                             std::shared_ptr<AttnCostTable> shared_costs)
+    : config_(std::move(config)),
+      scheduler_(std::move(scheduler)),
+      shared_costs_(config_.attn_cache_enabled ? std::move(shared_costs)
+                                               : nullptr)
 {
     POD_CHECK_ARG(scheduler_ != nullptr, "engine needs a scheduler");
     config_.model.Validate(config_.tensor_parallel);
     config_.gpu.Validate();
     Reset();
-}
-
-size_t
-ServingEngine::AttnSignatureHash::operator()(const AttnSignature& sig) const
-{
-    // Spread the fields (SplitMix64 finalizer); hits are decided by
-    // AttnSignature equality, so the key itself never aliases.
-    uint64_t z = (static_cast<uint64_t>(static_cast<uint32_t>(sig.chunk))
-                  << 32) |
-                 static_cast<uint32_t>(sig.kv);
-    z = z * 0x9E3779B97F4A7C15ull ^
-        ((static_cast<uint64_t>(static_cast<uint32_t>(sig.decode_bs))
-          << 32) |
-         static_cast<uint32_t>(sig.context));
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return static_cast<size_t>(z ^ (z >> 31));
 }
 
 double
@@ -108,23 +128,23 @@ ServingEngine::CachedAttnLayerTime(int chunk_len, int kv_len,
     }
     ++counters_.attn_cache_misses;
 
-    kernels::HybridBatch batch;
-    batch.shape = config_.model.ShapePerGpu(config_.tensor_parallel);
-    if (chunk > 0) {
-        batch.prefills.push_back(
-            kernels::PrefillItem{chunk, std::max(kv, chunk)});
+    // The simulated cost is a pure function of the bucketed signature
+    // (and the cost identity the shared table is keyed under), so
+    // memoizing it at either level, or not at all, is bit-invisible
+    // to results. A shared hit charges the stored sim-core events, so
+    // every counter reads as if this replica had simulated. The
+    // simulation runs outside the table's lock; a racing replica
+    // computes the same value and the first insert wins.
+    std::optional<AttnCost> cost;
+    if (shared_costs_) cost = shared_costs_->Find(key);
+    if (!cost) {
+        cost = SimulateAttn(config_, key);
+        if (shared_costs_) shared_costs_->Insert(key, *cost);
     }
-    if (dbs > 0) {
-        batch.decode = kernels::DecodeItem::Uniform(dbs, ctx);
-    }
-    core::AttnRunResult result = core::RunAttention(
-        config_.backend, batch, config_.gpu, config_.attn_options);
-    counters_.sim_fastpath_events += result.analytic_fastpath_events;
-    counters_.sim_fallback_events += result.oracle_fallback_events;
-    // The simulated time is a pure function of the bucketed signature,
-    // so memoizing it (or not) is bit-invisible to results.
-    if (config_.attn_cache_enabled) attn_cache_[key] = result.total_time;
-    return result.total_time;
+    counters_.sim_fastpath_events += cost->analytic_fastpath_events;
+    counters_.sim_fallback_events += cost->oracle_fallback_events;
+    if (config_.attn_cache_enabled) attn_cache_[key] = cost->total_time;
+    return cost->total_time;
 }
 
 double

@@ -8,7 +8,9 @@
  * time comes from the kernel simulator through the configured backend
  * (FA kernels for the vLLM/Sarathi baselines, the fused kernel for
  * Sarathi+POD), memoized over bucketed batch signatures so
- * thousand-request traces stay tractable (docs/DESIGN.md S5.4).
+ * thousand-request traces stay tractable (docs/DESIGN.md S5.4). A
+ * cluster hands replicas of one cost identity a shared second-level
+ * table, so a fleet simulates each signature once.
  *
  * KV allocation is pluggable (docs/DESIGN.md S2): the scheduler
  * admits, grows and evicts through a KvAllocator, and the engine
@@ -36,6 +38,7 @@
 #include "core/attention.h"
 #include "gpusim/gpu_spec.h"
 #include "model/model_config.h"
+#include "serve/attn_cost_table.h"
 #include "serve/kv_allocator.h"
 #include "serve/metrics.h"
 #include "serve/request.h"
@@ -104,14 +107,26 @@ struct ServingConfig
      * Attention memo cache on/off (docs/DESIGN.md S5.4). Bucketing
      * happens before the lookup, so cached and uncached runs are
      * bit-identical — the cache only saves re-simulating a bucketed
-     * signature. Off = every lookup simulates (and counts as a miss);
-     * the knob exists so the cache's value stays measurable as the
-     * analytic core gets cheaper (docs/EXPERIMENTS.md).
+     * signature. Off = every lookup simulates (and counts as a miss),
+     * bypassing the fleet-shared table too; the knob exists so the
+     * cache's value stays measurable as the analytic core gets
+     * cheaper (docs/EXPERIMENTS.md).
      */
     bool attn_cache_enabled = true;
 
     /** KV pool capacity in tokens (per GPU). */
     long KvTokenCapacity() const;
+
+    /**
+     * Attention cost identity: true when both configs simulate every
+     * bucketed signature to the same cost — equal per-GPU head shape,
+     * GPU spec, backend and attention options. Bucket sizes are not
+     * part of it (the memo key is already the bucketed signature),
+     * nor is anything outside the attention kernel (KV policy,
+     * scheduler, linear-op model). Replicas with the same identity
+     * may share one AttnCostTable.
+     */
+    bool SameAttnCost(const ServingConfig& other) const;
 };
 
 /**
@@ -224,8 +239,16 @@ struct StepResult
 class ServingEngine
 {
   public:
+    /**
+     * @param shared_costs optional second-level attention cost table
+     *        shared with engines of the same cost identity
+     *        (ServingConfig::SameAttnCost); nullptr (the default)
+     *        keeps every simulated cost private to this engine.
+     *        Ignored when the memo cache is off.
+     */
     ServingEngine(ServingConfig config,
-                  std::unique_ptr<Scheduler> scheduler);
+                  std::unique_ptr<Scheduler> scheduler,
+                  std::shared_ptr<AttnCostTable> shared_costs = nullptr);
 
     /**
      * Simulate all requests to completion.
@@ -308,10 +331,19 @@ class ServingEngine
      * Per-layer attention time of a hybrid batch signature: total
      * chunk tokens, max chunk context, decode count and mean decode
      * context. The signature is bucketed (ServingConfig::*_bucket)
-     * and the simulated time memoized per bucketed signature.
+     * and the simulated time memoized per bucketed signature: a
+     * local miss is served from the shared table when one is
+     * attached and holds the signature, and simulated otherwise.
      */
     double CachedAttnLayerTime(int chunk_len, int kv_len, int decode_bs,
                                int mean_context);
+
+    /** The local memo cache: per-layer time per bucketed signature. */
+    using AttnMemo =
+        std::unordered_map<AttnSignature, double, AttnSignatureHash>;
+
+    /** Local memo-cache contents (the cache survives Reset()). */
+    const AttnMemo& AttnCache() const { return attn_cache_; }
 
     /** Attention memo-cache entries (the cache survives Reset()). */
     size_t AttnCacheSize() const { return attn_cache_.size(); }
@@ -319,8 +351,18 @@ class ServingEngine
     /** Attention memo-cache hits since the last Reset(). */
     long AttnCacheHits() const { return counters_.attn_cache_hits; }
 
-    /** Memo-cache misses (kernel simulations) since the last Reset(). */
+    /**
+     * Memo-cache misses since the last Reset(): first lookups of a
+     * signature on this replica, served from the shared table or
+     * simulated.
+     */
     long AttnCacheMisses() const { return counters_.attn_cache_misses; }
+
+    /** The shared cost table, or nullptr when costs are private. */
+    const AttnCostTable* SharedAttnCosts() const
+    {
+        return shared_costs_.get();
+    }
 
     const ServingConfig& Config() const { return config_; }
 
@@ -343,27 +385,6 @@ class ServingEngine
     const telemetry::TraceRecorder* Trace() const { return trace_; }
 
   private:
-    /** A bucketed attention signature: the memo-cache key. */
-    struct AttnSignature
-    {
-        int chunk = 0;
-        int kv = 0;
-        int decode_bs = 0;
-        int context = 0;
-
-        bool
-        operator==(const AttnSignature& o) const
-        {
-            return chunk == o.chunk && kv == o.kv &&
-                   decode_bs == o.decode_bs && context == o.context;
-        }
-    };
-
-    struct AttnSignatureHash
-    {
-        size_t operator()(const AttnSignature& sig) const;
-    };
-
     /** Iteration latency for a scheduled batch. */
     double IterationTime(const ScheduledBatch& batch,
                          const std::vector<RequestState>& states);
@@ -396,8 +417,10 @@ class ServingEngine
     /** Sim-time event sink; nullptr (default) disables tracing. */
     telemetry::TraceRecorder* trace_ = nullptr;
 
-    std::unordered_map<AttnSignature, double, AttnSignatureHash>
-        attn_cache_;
+    AttnMemo attn_cache_;
+
+    /** Second-level cost table shared across replicas (may be null). */
+    std::shared_ptr<AttnCostTable> shared_costs_;
 
     /** Counters since Reset(); the prefix-cache fields and
      * attn_cache_entries are filled in by Counters(). */

@@ -11,16 +11,19 @@
 namespace pod::serve {
 
 MetricsReport
-CollectMetrics(const std::vector<RequestState>& states, double makespan,
-               long iterations, double total_batch_tokens)
+CollectMetrics(const std::vector<const std::vector<RequestState>*>& replicas,
+               double makespan, long iterations, double total_batch_tokens)
 {
+    size_t num_states = 0;
+    for (const auto* states : replicas) num_states += states->size();
+
     MetricsReport report;
-    report.num_requests = static_cast<int>(states.size());
+    report.num_requests = static_cast<int>(num_states);
     report.makespan = makespan;
     report.iterations = iterations;
     if (makespan > 0.0) {
         report.requests_per_minute =
-            static_cast<double>(states.size()) / makespan * 60.0;
+            static_cast<double>(num_states) / makespan * 60.0;
     }
     if (iterations > 0) {
         report.mean_batch_tokens =
@@ -29,28 +32,40 @@ CollectMetrics(const std::vector<RequestState>& states, double makespan,
 
     int stalled_200 = 0;
     int stalled_500 = 0;
-    for (const auto& state : states) {
-        POD_ASSERT(state.Finished());
-        report.preemptions += state.preempt_count;
-        if (state.preempt_count > 0) ++report.requests_preempted;
-        report.ttft.Add(state.first_token_time -
-                        state.request.arrival_time);
-        report.latency.Add(state.finish_time - state.request.arrival_time);
-        double max_tbt = 0.0;
-        for (double gap : state.tbt) {
-            report.tbt.Add(gap);
-            max_tbt = std::max(max_tbt, gap);
+    for (const auto* states : replicas) {
+        for (const auto& state : *states) {
+            POD_ASSERT(state.Finished());
+            report.preemptions += state.preempt_count;
+            if (state.preempt_count > 0) ++report.requests_preempted;
+            report.ttft.Add(state.first_token_time -
+                            state.request.arrival_time);
+            report.latency.Add(state.finish_time -
+                               state.request.arrival_time);
+            double max_tbt = 0.0;
+            for (double gap : state.tbt) {
+                report.tbt.Add(gap);
+                max_tbt = std::max(max_tbt, gap);
+            }
+            if (max_tbt > 0.2) ++stalled_200;
+            if (max_tbt > 0.5) ++stalled_500;
         }
-        if (max_tbt > 0.2) ++stalled_200;
-        if (max_tbt > 0.5) ++stalled_500;
     }
-    if (!states.empty()) {
+    if (num_states > 0) {
         report.frac_stalled_200ms =
-            static_cast<double>(stalled_200) / states.size();
+            static_cast<double>(stalled_200) / num_states;
         report.frac_stalled_500ms =
-            static_cast<double>(stalled_500) / states.size();
+            static_cast<double>(stalled_500) / num_states;
     }
     return report;
+}
+
+MetricsReport
+CollectMetrics(const std::vector<RequestState>& states, double makespan,
+               long iterations, double total_batch_tokens)
+{
+    return CollectMetrics(
+        std::vector<const std::vector<RequestState>*>{&states}, makespan,
+        iterations, total_batch_tokens);
 }
 
 void

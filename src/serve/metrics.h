@@ -60,7 +60,16 @@ struct MetricsReport : EngineCounters
     int requests_preempted = 0;
 };
 
-/** Build a report from final request states. */
+/**
+ * Build a report from several replicas' final request states, pooled
+ * in the given order (replica-major, then state order) without
+ * copying them — the fleet report of a cluster run.
+ */
+MetricsReport CollectMetrics(
+    const std::vector<const std::vector<RequestState>*>& replicas,
+    double makespan, long iterations, double total_batch_tokens);
+
+/** Build a report from one engine's final request states. */
 MetricsReport CollectMetrics(const std::vector<RequestState>& states,
                              double makespan, long iterations,
                              double total_batch_tokens);

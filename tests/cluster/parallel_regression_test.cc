@@ -83,7 +83,12 @@ CoarsenBuckets(serve::ServingConfig& config)
     config.chunk_bucket = 256;
 }
 
-/** ServeTrace on a homogeneous 2-replica A100 fleet. */
+/**
+ * ServeTrace on a homogeneous 2-replica A100 fleet. Each sweep builds
+ * fresh engines, so both replicas miss their memo caches and share
+ * one attention cost table (docs/DESIGN.md S5.4) while advancing on
+ * 2+ threads.
+ */
 Scenario
 ServeTraceFleet()
 {

@@ -99,6 +99,7 @@ ExpectReportsEqual(const ClusterMetricsReport& expected,
     EXPECT_EQ(expected.request_imbalance_cv, got.request_imbalance_cv);
     EXPECT_EQ(expected.token_imbalance_cv, got.token_imbalance_cv);
     EXPECT_EQ(expected.preemptions, got.preemptions);
+    EXPECT_EQ(expected.attn_table_entries, got.attn_table_entries);
     ExpectCountersEqual(expected, got, "cluster");
 }
 

@@ -437,7 +437,7 @@ TEST(MetricsTest, ZeroRequestRunIsFiniteZeros)
 {
     // An idle replica in a cluster produces an empty report; nothing
     // may divide by zero or emit NaN.
-    MetricsReport report = CollectMetrics({}, 0.0, 0, 0.0);
+    MetricsReport report = CollectMetrics(std::vector<RequestState>{}, 0.0, 0, 0.0);
     EXPECT_EQ(report.num_requests, 0);
     EXPECT_EQ(report.requests_per_minute, 0.0);
     EXPECT_EQ(report.mean_batch_tokens, 0.0);
