@@ -29,7 +29,9 @@ main()
         // Last chunk of the prompt: chunk 1K attending the full ctx.
         auto batch = kernels::HybridBatch::Make(shape, 1024, ctx, 60, ctx);
         model::IterationBreakdown b = cost.Cost(batch, 61);
-        double others = b.others + b.comm;
+        // Others: norms/rope, TP all-reduce, the LM head and the fixed
+        // per-iteration overhead.
+        double others = b.others + b.comm + b.logits + b.overhead;
         auto pct = [&](double v) { return Table::Pct(v / b.total); };
         t.AddRow({std::to_string(ctx / 1024) + "K", pct(b.pre_proj),
                   pct(b.prefill_attn), pct(b.decode_attn),

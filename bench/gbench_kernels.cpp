@@ -115,16 +115,11 @@ BENCHMARK(BM_IterationCost)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Serving-scale value of the attention memo cache (the PR 8 ROADMAP
- * follow-up asked whether the cache still earns its keep now that
- * uncached iterations are ~10x cheaper): one ServingEngine draining
- * an offline trace, arg 0 with the cache disabled (every iteration
- * pays a full costing call) vs arg 1 with it enabled (steady-state:
- * the cache persists across benchmark iterations, as it does across
- * production Reset()s). Results are bit-identical either way —
- * bucketing happens before the lookup — so this measures cost alone.
- * The hits/misses counters show the steady-state hit rate behind the
- * cached number; docs/EXPERIMENTS.md records the verdict.
+ * Serving drain with a warm attention memo cache: one ServingEngine
+ * draining an offline trace, steady-state (the cache persists across
+ * benchmark iterations, as it does across production Reset()s). The
+ * hits/misses counters show the steady-state hit rate behind the
+ * number; docs/EXPERIMENTS.md records the cache's measured value.
  */
 void
 BM_ServeMemoCache(benchmark::State& state)
@@ -133,7 +128,6 @@ BM_ServeMemoCache(benchmark::State& state)
     config.model = model::ModelConfig::Llama3_8B();
     config.tensor_parallel = 2;
     config.backend = core::Backend::kPod;
-    config.attn_cache_enabled = state.range(0) != 0;
     serve::ServingEngine engine(
         config, std::make_unique<serve::SarathiScheduler>(2048));
 
@@ -159,11 +153,7 @@ BM_ServeMemoCache(benchmark::State& state)
     state.counters["cache_misses"] = benchmark::Counter(
         static_cast<double>(engine.AttnCacheMisses()));
 }
-BENCHMARK(BM_ServeMemoCache)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("cache")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeMemoCache)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -26,13 +26,16 @@ constexpr double kPerLayerOverhead = 4e-6;
 /** All-reduce base latency per invocation. */
 constexpr double kAllReduceLatency = 8e-6;
 
+/** Fixed non-GPU time per iteration: scheduler, runtime, sampling
+ * (calibration constant, docs/DESIGN.md S5.5). */
+constexpr double kIterationOverhead = 300e-6;
+
 /** Roofline time of one GEMM on one GPU. */
 double
 GemmTime(const gpusim::GpuSpec& spec, double flops, double weight_bytes,
-         double activation_bytes)
+         double activation_bytes, double boost = kGemmEfficiencyBoost)
 {
-    double compute = flops / (spec.TotalTensorFlops() *
-                              kGemmEfficiencyBoost);
+    double compute = flops / (spec.TotalTensorFlops() * boost);
     double memory = (weight_bytes + activation_bytes) / spec.hbm_bandwidth;
     return std::max(compute, memory);
 }
@@ -79,6 +82,49 @@ ComputeLinearCosts(const ModelConfig& model, const gpusim::GpuSpec& spec,
     return costs;
 }
 
+IterationBreakdown
+ComposeIteration(const ModelConfig& model, const gpusim::GpuSpec& spec,
+                 int tensor_parallel, int tokens, int logit_tokens,
+                 double attn_layer_seconds)
+{
+    IterationBreakdown breakdown;
+    if (tokens == 0) return breakdown;
+
+    LinearCosts linear =
+        ComputeLinearCosts(model, spec, tensor_parallel, tokens);
+    const int layers = model.num_layers;
+    breakdown.pre_proj = linear.qkv_proj * layers;
+    breakdown.post_proj = linear.out_proj * layers;
+    breakdown.ffn = linear.ffn * layers;
+    breakdown.comm = linear.allreduce * layers;
+    breakdown.others = linear.elementwise * layers;
+    breakdown.linear = (linear.qkv_proj + linear.out_proj + linear.ffn +
+                        linear.allreduce + linear.elementwise) *
+                       layers;
+    breakdown.attn_total = attn_layer_seconds * layers;
+
+    // LM head for sampled rows (decodes + finishing prefills). It
+    // stays unboosted, the formula every serving result was pinned
+    // under (docs/DESIGN.md S5.1).
+    if (logit_tokens > 0) {
+        const double tp = tensor_parallel;
+        breakdown.logits = GemmTime(
+            spec,
+            2.0 * logit_tokens * static_cast<double>(model.hidden_dim) *
+                model.vocab_size / tp,
+            static_cast<double>(model.hidden_dim) * model.vocab_size *
+                2.0 / tp,
+            static_cast<double>(logit_tokens) * model.vocab_size * 2.0,
+            /*boost=*/1.0);
+    }
+    breakdown.overhead = kIterationOverhead;
+
+    // Summed in the order every serving result was pinned under.
+    breakdown.total = breakdown.overhead + breakdown.linear +
+                      breakdown.attn_total + breakdown.logits;
+    return breakdown;
+}
+
 IterationCostModel::IterationCostModel(ModelConfig model,
                                        gpusim::GpuSpec spec,
                                        int tensor_parallel,
@@ -94,68 +140,30 @@ IterationCostModel::IterationCostModel(ModelConfig model,
     spec_.Validate();
 }
 
-double
-IterationCostModel::AttentionLayerTime(
-    const kernels::HybridBatch& batch) const
-{
-    if (!batch.HasPrefill() && !batch.HasDecode()) return 0.0;
-    core::AttnRunResult result =
-        core::RunAttention(backend_, batch, spec_, attn_options_);
-    return result.total_time;
-}
-
 IterationBreakdown
 IterationCostModel::Cost(const kernels::HybridBatch& batch,
                          int logit_tokens) const
 {
-    IterationBreakdown breakdown;
     int tokens = batch.decode.BatchSize();
     for (const auto& p : batch.prefills) tokens += p.chunk_len;
-    if (tokens == 0) return breakdown;
-
-    LinearCosts linear =
-        ComputeLinearCosts(model_, spec_, tensor_parallel_, tokens);
-    const int layers = model_.num_layers;
-    breakdown.pre_proj = linear.qkv_proj * layers;
-    breakdown.post_proj = linear.out_proj * layers;
-    breakdown.ffn = linear.ffn * layers;
-    breakdown.comm = linear.allreduce * layers;
-    breakdown.others = linear.elementwise * layers;
+    if (tokens == 0) return IterationBreakdown{};
 
     // Attention: all layers share the batch geometry, so one kernel
     // simulation covers each layer.
-    if (batch.HasPrefill() || batch.HasDecode()) {
-        core::AttnRunResult attn =
-            core::RunAttention(backend_, batch, spec_, attn_options_);
-        breakdown.attn_total = attn.total_time * layers;
-        // Serial backends expose per-op completion; fused backends
-        // attribute everything to the overlap window.
-        if (backend_ == core::Backend::kFaSerial ||
-            backend_ == core::Backend::kFiSerial) {
-            breakdown.prefill_attn = attn.prefill_time * layers;
-            breakdown.decode_attn =
-                (attn.total_time - attn.prefill_time) * layers;
-        } else {
-            breakdown.prefill_attn = 0.0;
-            breakdown.decode_attn = 0.0;
-        }
+    core::AttnRunResult attn =
+        core::RunAttention(backend_, batch, spec_, attn_options_);
+    IterationBreakdown breakdown =
+        ComposeIteration(model_, spec_, tensor_parallel_, tokens,
+                         logit_tokens, attn.total_time);
+    // Serial backends expose per-op completion; fused backends
+    // attribute everything to the overlap window.
+    if (backend_ == core::Backend::kFaSerial ||
+        backend_ == core::Backend::kFiSerial) {
+        const int layers = model_.num_layers;
+        breakdown.prefill_attn = attn.prefill_time * layers;
+        breakdown.decode_attn =
+            (attn.total_time - attn.prefill_time) * layers;
     }
-
-    // Logits for sampled rows (decode tokens + a finishing prefill).
-    if (logit_tokens > 0) {
-        double logits = GemmTime(
-            spec_,
-            2.0 * static_cast<double>(logit_tokens) * model_.hidden_dim *
-                model_.vocab_size / tensor_parallel_,
-            static_cast<double>(model_.hidden_dim) * model_.vocab_size *
-                2.0 / tensor_parallel_,
-            static_cast<double>(logit_tokens) * model_.vocab_size * 2.0);
-        breakdown.others += logits;
-    }
-
-    breakdown.total = breakdown.pre_proj + breakdown.post_proj +
-                      breakdown.ffn + breakdown.comm + breakdown.others +
-                      breakdown.attn_total;
     return breakdown;
 }
 

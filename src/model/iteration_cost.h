@@ -8,7 +8,9 @@
  * amortizes across prefill and decode tokens (paper S2.1). Attention
  * uses the kernel simulator through the configured backend. Tensor
  * parallelism divides heads and weights across GPUs and adds ring
- * all-reduce traffic on NVLink.
+ * all-reduce traffic on NVLink. ComposeIteration is the one place
+ * these terms are summed into an iteration's latency, for the
+ * serving engine and the Fig. 4 breakdown alike (docs/DESIGN.md S5.1).
  */
 #ifndef POD_MODEL_ITERATION_COST_H
 #define POD_MODEL_ITERATION_COST_H
@@ -29,10 +31,14 @@ struct IterationBreakdown
     double post_proj = 0.0;     ///< Attention output projection.
     double ffn = 0.0;           ///< Gated FFN.
     double comm = 0.0;          ///< TP all-reduce.
-    double others = 0.0;        ///< Norms, rope, sampling, logits.
+    double others = 0.0;        ///< Norms, rope, residuals.
 
     /** Combined attention time (fused backends report only this). */
     double attn_total = 0.0;
+
+    double linear = 0.0;    ///< pre_proj + post_proj + ffn + comm + others.
+    double logits = 0.0;    ///< LM-head GEMM for sampled rows.
+    double overhead = 0.0;  ///< Fixed non-GPU time per iteration.
 
     /** Total iteration latency. */
     double total = 0.0;
@@ -56,6 +62,19 @@ LinearCosts ComputeLinearCosts(const ModelConfig& model,
                                int tensor_parallel, int tokens);
 
 /**
+ * Compose one iteration's latency: linear ops at `tokens` batch
+ * tokens, `attn_layer_seconds` of attention per layer, the LM head
+ * for `logit_tokens` sampled rows and the fixed per-iteration
+ * overhead. The prefill/decode attention split is left at zero (only
+ * the caller knows it). An empty batch (`tokens == 0`) is free.
+ */
+IterationBreakdown ComposeIteration(const ModelConfig& model,
+                                    const gpusim::GpuSpec& spec,
+                                    int tensor_parallel, int tokens,
+                                    int logit_tokens,
+                                    double attn_layer_seconds);
+
+/**
  * Iteration-level cost model bound to a model, device, parallelism
  * degree and attention backend.
  */
@@ -75,14 +94,6 @@ class IterationCostModel
      */
     IterationBreakdown Cost(const kernels::HybridBatch& batch,
                             int logit_tokens) const;
-
-    /** Attention-only time for a batch (per layer), seconds. */
-    double AttentionLayerTime(const kernels::HybridBatch& batch) const;
-
-    const ModelConfig& Model() const { return model_; }
-    const gpusim::GpuSpec& Spec() const { return spec_; }
-    int TensorParallel() const { return tensor_parallel_; }
-    core::Backend BackendKind() const { return backend_; }
 
   private:
     ModelConfig model_;

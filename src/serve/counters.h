@@ -30,6 +30,12 @@ namespace pod::serve {
     X(long, preemptions_swap, "preempt.swap", kCounter)                      \
     /* Swap-in + swap-out PCIe time charged (seconds). */                    \
     X(double, swap_time_total, "swap.total_seconds", kGauge)                 \
+    /* Sim-time split of the iterations run (docs/DESIGN.md S5.1): */     \
+    /* with swap.total_seconds it sums to the busy sim time. */             \
+    X(double, sim_attn_seconds, "sim_time.attn_seconds", kGauge)             \
+    X(double, sim_linear_seconds, "sim_time.linear_seconds", kGauge)         \
+    X(double, sim_logits_seconds, "sim_time.logits_seconds", kGauge)         \
+    X(double, sim_overhead_seconds, "sim_time.overhead_seconds", kGauge)     \
     /* Attention memo cache (docs/DESIGN.md S5.4); entries is the */         \
     /* current cache size, which survives Reset(). A miss is the first */    \
     /* lookup of a signature on this replica, served from the fleet */       \

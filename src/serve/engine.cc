@@ -94,8 +94,7 @@ ServingEngine::ServingEngine(ServingConfig config,
                              std::shared_ptr<AttnCostTable> shared_costs)
     : config_(std::move(config)),
       scheduler_(std::move(scheduler)),
-      shared_costs_(config_.attn_cache_enabled ? std::move(shared_costs)
-                                               : nullptr)
+      shared_costs_(std::move(shared_costs))
 {
     POD_CHECK_ARG(scheduler_ != nullptr, "engine needs a scheduler");
     config_.model.Validate(config_.tensor_parallel);
@@ -119,22 +118,20 @@ ServingEngine::CachedAttnLayerTime(int chunk_len, int kv_len,
     if (chunk == 0 && dbs == 0) return 0.0;
 
     const AttnSignature key{chunk, kv, dbs, ctx};
-    if (config_.attn_cache_enabled) {
-        auto it = attn_cache_.find(key);
-        if (it != attn_cache_.end()) {
-            ++counters_.attn_cache_hits;
-            return it->second;
-        }
+    auto it = attn_cache_.find(key);
+    if (it != attn_cache_.end()) {
+        ++counters_.attn_cache_hits;
+        return it->second;
     }
     ++counters_.attn_cache_misses;
 
     // The simulated cost is a pure function of the bucketed signature
     // (and the cost identity the shared table is keyed under), so
-    // memoizing it at either level, or not at all, is bit-invisible
-    // to results. A shared hit charges the stored sim-core events, so
-    // every counter reads as if this replica had simulated. The
-    // simulation runs outside the table's lock; a racing replica
-    // computes the same value and the first insert wins.
+    // memoizing it at either level is bit-invisible to results. A
+    // shared hit charges the stored sim-core events, so every counter
+    // reads as if this replica had simulated. The simulation runs
+    // outside the table's lock; a racing replica computes the same
+    // value and the first insert wins.
     std::optional<AttnCost> cost;
     if (shared_costs_) cost = shared_costs_->Find(key);
     if (!cost) {
@@ -143,12 +140,12 @@ ServingEngine::CachedAttnLayerTime(int chunk_len, int kv_len,
     }
     counters_.sim_fastpath_events += cost->analytic_fastpath_events;
     counters_.sim_fallback_events += cost->oracle_fallback_events;
-    if (config_.attn_cache_enabled) attn_cache_[key] = cost->total_time;
+    attn_cache_[key] = cost->total_time;
     return cost->total_time;
 }
 
-double
-ServingEngine::IterationTime(const ScheduledBatch& batch,
+model::IterationBreakdown
+ServingEngine::IterationCost(const ScheduledBatch& batch,
                              const std::vector<RequestState>& states)
 {
     // Attention signature: total chunk tokens, max chunk context,
@@ -169,16 +166,6 @@ ServingEngine::IterationTime(const ScheduledBatch& batch,
 
     double attn_layer =
         CachedAttnLayerTime(chunk_total, kv_max, dbs, mean_ctx);
-    double attn = attn_layer * config_.model.num_layers;
-
-    // Linear ops at the exact token count.
-    int tokens = batch.TotalTokens();
-    model::LinearCosts linear = model::ComputeLinearCosts(
-        config_.model, config_.gpu, config_.tensor_parallel, tokens);
-    double linear_total =
-        (linear.qkv_proj + linear.out_proj + linear.ffn +
-         linear.allreduce + linear.elementwise) *
-        config_.model.num_layers;
 
     // Logits for every decode plus prefills completing this iteration.
     int logit_tokens = dbs;
@@ -189,22 +176,11 @@ ServingEngine::IterationTime(const ScheduledBatch& batch,
             ++logit_tokens;
         }
     }
-    double logits = 0.0;
-    if (logit_tokens > 0) {
-        // Roofline of the LM-head GEMM.
-        double flops = 2.0 * logit_tokens *
-                       static_cast<double>(config_.model.hidden_dim) *
-                       config_.model.vocab_size / config_.tensor_parallel;
-        double bytes = static_cast<double>(config_.model.hidden_dim) *
-                           config_.model.vocab_size * 2.0 /
-                           config_.tensor_parallel +
-                       static_cast<double>(logit_tokens) *
-                           config_.model.vocab_size * 2.0;
-        logits = std::max(flops / config_.gpu.TotalTensorFlops(),
-                          bytes / config_.gpu.hbm_bandwidth);
-    }
 
-    return config_.iteration_overhead + linear_total + attn + logits;
+    return model::ComposeIteration(config_.model, config_.gpu,
+                                   config_.tensor_parallel,
+                                   batch.TotalTokens(), logit_tokens,
+                                   attn_layer);
 }
 
 void
@@ -437,7 +413,12 @@ ServingEngine::Step()
     // Swap transfers serialize with the iteration (vLLM blocks on
     // them), so they stretch this iteration's latency. Zero under
     // the conservative policy.
-    double dt = IterationTime(batch, states_) + swap_time;
+    const model::IterationBreakdown cost = IterationCost(batch, states_);
+    counters_.sim_attn_seconds += cost.attn_total;
+    counters_.sim_linear_seconds += cost.linear;
+    counters_.sim_logits_seconds += cost.logits;
+    counters_.sim_overhead_seconds += cost.overhead;
+    double dt = cost.total + swap_time;
     now_ += dt;
     ++iterations_;
     total_batch_tokens_ += batch.TotalTokens();

@@ -37,6 +37,7 @@
 #include "common/telemetry/trace.h"
 #include "core/attention.h"
 #include "gpusim/gpu_spec.h"
+#include "model/iteration_cost.h"
 #include "model/model_config.h"
 #include "serve/attn_cost_table.h"
 #include "serve/kv_allocator.h"
@@ -91,28 +92,11 @@ struct ServingConfig
     /** Fraction of HBM usable for weights + KV. */
     double memory_fraction = 0.9;
 
-    /**
-     * Fixed non-GPU time per iteration (scheduler, Python runtime,
-     * sampling) -- matches the serving stacks the paper builds on.
-     */
-    double iteration_overhead = 300e-6;
-
-    /** Bucketing for the attention memo cache. */
+    /** Bucketing for the attention memo cache (docs/DESIGN.md S5.4). */
     int chunk_bucket = 64;
     int kv_bucket = 1024;
     int decode_bs_bucket = 8;
     int context_bucket = 1024;
-
-    /**
-     * Attention memo cache on/off (docs/DESIGN.md S5.4). Bucketing
-     * happens before the lookup, so cached and uncached runs are
-     * bit-identical — the cache only saves re-simulating a bucketed
-     * signature. Off = every lookup simulates (and counts as a miss),
-     * bypassing the fleet-shared table too; the knob exists so the
-     * cache's value stays measurable as the analytic core gets
-     * cheaper (docs/EXPERIMENTS.md).
-     */
-    bool attn_cache_enabled = true;
 
     /** KV pool capacity in tokens (per GPU). */
     long KvTokenCapacity() const;
@@ -244,7 +228,6 @@ class ServingEngine
      *        shared with engines of the same cost identity
      *        (ServingConfig::SameAttnCost); nullptr (the default)
      *        keeps every simulated cost private to this engine.
-     *        Ignored when the memo cache is off.
      */
     ServingEngine(ServingConfig config,
                   std::unique_ptr<Scheduler> scheduler,
@@ -385,9 +368,10 @@ class ServingEngine
     const telemetry::TraceRecorder* Trace() const { return trace_; }
 
   private:
-    /** Iteration latency for a scheduled batch. */
-    double IterationTime(const ScheduledBatch& batch,
-                         const std::vector<RequestState>& states);
+    /** Iteration cost of a scheduled batch (model::ComposeIteration). */
+    model::IterationBreakdown IterationCost(
+        const ScheduledBatch& batch,
+        const std::vector<RequestState>& states);
 
     /**
      * Fold scheduler admissions into the running counters. The FCFS

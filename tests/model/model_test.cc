@@ -119,9 +119,14 @@ TEST(IterationCostTest, BreakdownSumsToTotal)
         ModelConfig::Llama3_8B().ShapePerGpu(2), 1024, 16384, 60, 16384);
     IterationBreakdown b = cost.Cost(batch, 61);
     double sum = b.pre_proj + b.post_proj + b.ffn + b.comm + b.others +
-                 b.attn_total;
+                 b.attn_total + b.logits + b.overhead;
     EXPECT_NEAR(b.total, sum, 1e-12);
+    EXPECT_NEAR(b.linear, b.pre_proj + b.post_proj + b.ffn + b.comm + b.others,
+                1e-12);
+    EXPECT_EQ(b.total, b.overhead + b.linear + b.attn_total + b.logits);
     EXPECT_GT(b.total, 0.0);
+    EXPECT_GT(b.logits, 0.0);
+    EXPECT_GT(b.overhead, 0.0);
     EXPECT_GT(b.attn_total, 0.0);
     // Serial backend splits attention into prefill + decode parts.
     EXPECT_NEAR(b.prefill_attn + b.decode_attn, b.attn_total,

@@ -15,13 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "core/attention.h"
 #include "serve/engine.h"
 
 namespace pod::serve {
@@ -190,13 +194,10 @@ TEST(AttnCostIdentityTest, ServingConfigFieldsAreClassified)
         {"prefix_cache_enabled",
          [](auto& c) { c.prefix_cache_enabled = true; }},
         {"memory_fraction", [](auto& c) { c.memory_fraction = 0.8; }},
-        {"iteration_overhead", [](auto& c) { c.iteration_overhead = 1e-3; }},
         {"chunk_bucket", [](auto& c) { c.chunk_bucket = 16; }},
         {"kv_bucket", [](auto& c) { c.kv_bucket = 16; }},
         {"decode_bs_bucket", [](auto& c) { c.decode_bs_bucket = 1; }},
         {"context_bucket", [](auto& c) { c.context_bucket = 16; }},
-        {"attn_cache_enabled",
-         [](auto& c) { c.attn_cache_enabled = false; }},
     };
     EXPECT_EQ(breaks.size() + keeps.size(), FieldCount<ServingConfig>())
         << "a ServingConfig field is not classified";
@@ -323,17 +324,72 @@ TEST(AttnCostTableTest, SharedHitsReportPrivateCounters)
 #undef POD_EXPECT_SAME_COUNTER
 }
 
+/** One layer of attention simulated for the batch `key` describes. */
+double
+SimulatedLayerTime(const ServingConfig& config, const AttnSignature& key)
+{
+    kernels::HybridBatch batch;
+    batch.shape = config.model.ShapePerGpu(config.tensor_parallel);
+    if (key.chunk > 0) {
+        batch.prefills.push_back(
+            kernels::PrefillItem{key.chunk, std::max(key.kv, key.chunk)});
+    }
+    if (key.decode_bs > 0) {
+        batch.decode = kernels::DecodeItem::Uniform(key.decode_bs, key.context);
+    }
+    return core::RunAttention(config.backend, batch, config.gpu,
+                              config.attn_options)
+        .total_time;
+}
+
+/**
+ * Only an engine given a table reaches it: a standalone engine has
+ * none and simulates its own misses. Everything engines write to a
+ * shared table is exactly the kernel simulation of its signature, so
+ * bypassing the table and being served from it give the same costs.
+ */
 TEST(AttnCostTableTest, DisabledCacheBypassesTheSharedTable)
 {
-    ServingConfig config = PodReplica();
-    config.attn_cache_enabled = false;
+    const ServingConfig config = PodReplica();
+    ServingEngine solo(config, Sarathi());
+    solo.Run(SmallTrace());
+    EXPECT_EQ(solo.SharedAttnCosts(), nullptr);
+    ASSERT_GT(solo.AttnCacheSize(), 0u);
+
     auto table = std::make_shared<AttnCostTable>();
-    ServingEngine engine(config, Sarathi(), table);
-    engine.Run(SmallTrace());
-    EXPECT_EQ(engine.SharedAttnCosts(), nullptr);
-    EXPECT_EQ(table->Size(), 0u);
-    EXPECT_EQ(engine.AttnCacheSize(), 0u);
-    EXPECT_GT(engine.AttnCacheMisses(), 0);
+    ServingEngine first(config, Sarathi(), table);
+    first.Run(SmallTrace());
+    // The second engine is served from the warm table where the traces
+    // overlap and simulates the rest.
+    std::vector<Request> longer = SmallTrace();
+    for (Request& r : longer) {
+        r.prefill_tokens += 256;
+        r.decode_tokens *= 2;
+    }
+    ServingEngine second(config, Sarathi(), table);
+    second.Run(longer);
+    ASSERT_GT(table->Size(), first.AttnCacheSize());
+    size_t from_table = 0;
+    for (const auto& entry : second.AttnCache()) {
+        from_table += first.AttnCache().count(entry.first);
+    }
+    ASSERT_GT(from_table, 0u);
+
+    std::unordered_set<AttnSignature, AttnSignatureHash> written;
+    for (const ServingEngine* engine : {&first, &second}) {
+        for (const auto& [key, layer_time] : engine->AttnCache()) {
+            written.insert(key);
+            const double simulated = SimulatedLayerTime(config, key);
+            EXPECT_EQ(layer_time, simulated);
+            ASSERT_TRUE(table->Find(key).has_value());
+            EXPECT_EQ(table->Find(key)->total_time, simulated);
+        }
+    }
+    EXPECT_EQ(written.size(), table->Size());
+    for (const auto& [key, layer_time] : solo.AttnCache()) {
+        const std::optional<AttnCost> shared = table->Find(key);
+        if (shared) EXPECT_EQ(shared->total_time, layer_time);
+    }
 }
 
 }  // namespace

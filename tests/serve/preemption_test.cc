@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "../golden_scenarios.h"
+#include "common/telemetry/registry.h"
+#include "serve/counters.h"
 #include "serve/engine.h"
 #include "serve/scheduler.h"
 
@@ -249,6 +251,36 @@ TEST(PreemptionEngineTest, SwapChargesTransferTime)
         EXPECT_EQ(state.recompute_extra, 0);
         EXPECT_EQ(state.decoded, state.request.decode_tokens);
     }
+}
+
+TEST(PreemptionEngineTest, SimTimeSplitSumsToBusyTime)
+{
+    // "Where did the sim time go?": the published sim_time.* rows
+    // plus the swap charge account for every iteration's latency.
+    ServingEngine engine(OverloadConfig(PreemptMode::kSwap),
+                         std::make_unique<SarathiScheduler>(512));
+    auto trace = golden::OverloadTrace();
+    std::sort(trace.begin(), trace.end(), ArrivalOrder);
+    engine.Reset();
+    for (const auto& request : trace) engine.Submit(request);
+    double busy = 0.0;
+    while (!engine.Done()) busy += engine.Step().duration;
+    ASSERT_GT(engine.Counters().swap_time_total, 0.0);
+
+    telemetry::MetricRegistry registry;
+    FillCounters(engine.Counters(), registry, "serve.");
+    double split = 0.0;
+    int rows = 0;
+    for (const auto& row : registry.Rows()) {
+        if (row.name.rfind("serve.sim_time.", 0) == 0 ||
+            row.name == "serve.swap.total_seconds") {
+            EXPECT_GT(row.gauge, 0.0) << row.name;
+            split += row.gauge;
+            ++rows;
+        }
+    }
+    EXPECT_EQ(rows, 5);
+    EXPECT_NEAR(split, busy, 1e-9 * busy);
 }
 
 TEST(PreemptionEngineTest, SwapSlowerMakespanThanFreeEviction)

@@ -11,6 +11,8 @@
 #include <limits>
 #include <memory>
 
+#include "core/attention.h"
+#include "model/iteration_cost.h"
 #include "serve/engine.h"
 #include "serve/kv_allocator.h"
 #include "serve/scheduler.h"
@@ -322,37 +324,73 @@ TEST(ServingEngineTest, AttnCacheKeyKeepsChunkAndDecodeCountApart)
     EXPECT_EQ(engine.AttnCacheSize(), 2u);
 }
 
+/** The kernel simulation the memo stands in for: one layer of
+ * attention over the batch a bucketed signature describes. */
+double
+SimulatedLayerTime(const ServingConfig& config, const AttnSignature& key)
+{
+    kernels::HybridBatch batch;
+    batch.shape = config.model.ShapePerGpu(config.tensor_parallel);
+    if (key.chunk > 0) {
+        batch.prefills.push_back(
+            kernels::PrefillItem{key.chunk, std::max(key.kv, key.chunk)});
+    }
+    if (key.decode_bs > 0) {
+        batch.decode = kernels::DecodeItem::Uniform(key.decode_bs, key.context);
+    }
+    return core::RunAttention(config.backend, batch, config.gpu,
+                              config.attn_options)
+        .total_time;
+}
+
 TEST(ServingEngineTest, AttnCacheDisabledIsBitIdenticalAndEmpty)
 {
-    // The cache memoizes a pure function of the *bucketed* signature
-    // (bucketing happens before the lookup), so disabling it may only
-    // cost time, never change a result — the invariant that makes the
-    // cache's value measurable (BM_ServeMemoCache) without a fidelity
-    // trade.
-    auto trace = UniformTrace(6, 4096, 96);
-    ServingEngine cached(SmallConfig(core::Backend::kFaSerial),
-                         std::make_unique<SarathiScheduler>(512));
-    MetricsReport with_cache = cached.Run(trace);
+    // The memo has no off-switch. A run without it would simulate
+    // every bucketed signature (bucketing happens before the lookup),
+    // so a run with it is bit-identical to one without exactly when
+    // each entry is the kernel simulation of its key. A fresh engine
+    // starts with an empty memo.
+    const ServingConfig config = SmallConfig(core::Backend::kPod);
+    ServingEngine engine(config, std::make_unique<SarathiScheduler>(512));
+    EXPECT_EQ(engine.AttnCacheSize(), 0u);
+    EXPECT_EQ(engine.AttnCacheHits(), 0);
+    EXPECT_EQ(engine.AttnCacheMisses(), 0);
 
-    ServingConfig config = SmallConfig(core::Backend::kFaSerial);
-    config.attn_cache_enabled = false;
-    ServingEngine uncached(config,
-                           std::make_unique<SarathiScheduler>(512));
-    MetricsReport without_cache = uncached.Run(trace);
+    engine.Run(UniformTrace(6, 4096, 96));
+    ASSERT_GT(engine.AttnCacheHits(), 0);
+    ASSERT_GT(engine.AttnCacheSize(), 0u);
+    // Without a shared table every miss is one simulation and one entry.
+    EXPECT_EQ(static_cast<long>(engine.AttnCacheSize()),
+              engine.AttnCacheMisses());
+    for (const auto& [key, layer_time] : engine.AttnCache()) {
+        EXPECT_EQ(layer_time, SimulatedLayerTime(config, key));
+    }
+}
 
-    EXPECT_EQ(with_cache.makespan, without_cache.makespan);
-    EXPECT_EQ(with_cache.iterations, without_cache.iterations);
-    EXPECT_EQ(with_cache.mean_batch_tokens,
-              without_cache.mean_batch_tokens);
-    EXPECT_EQ(with_cache.ttft.Sum(), without_cache.ttft.Sum());
-    EXPECT_EQ(with_cache.tbt.Sum(), without_cache.tbt.Sum());
-    EXPECT_EQ(with_cache.latency.Sum(), without_cache.latency.Sum());
+TEST(ServingEngineTest, StepChargesTheIterationCostModelTotal)
+{
+    // Unit buckets make the memo signature the exact batch, so the
+    // engine and the cost model behind Fig. 4 must price this
+    // prompt-only iteration identically: one composition
+    // (model::ComposeIteration) serves both.
+    ServingConfig config = SmallConfig(core::Backend::kPod);
+    config.chunk_bucket = 1;
+    config.kv_bucket = 1;
+    config.decode_bs_bucket = 1;
+    config.context_bucket = 1;
+    ServingEngine engine(config, std::make_unique<SarathiScheduler>(512));
+    engine.Submit(Request{0, 0.0, 300, 4, {}, -1, 0});
+    const StepResult step = engine.Step();
+    ASSERT_EQ(step.batch_tokens, 300);
 
-    // Off = no entries, no hits; every lookup is a simulation (miss).
-    EXPECT_EQ(uncached.AttnCacheSize(), 0u);
-    EXPECT_EQ(uncached.AttnCacheHits(), 0);
-    EXPECT_EQ(uncached.AttnCacheMisses(),
-              cached.AttnCacheHits() + cached.AttnCacheMisses());
+    model::IterationCostModel cost(config.model, config.gpu,
+                                   config.tensor_parallel, config.backend,
+                                   config.attn_options);
+    kernels::HybridBatch batch;
+    batch.shape = config.model.ShapePerGpu(config.tensor_parallel);
+    batch.prefills.push_back(kernels::PrefillItem{300, 300});
+    // The prompt completes, so one row needs logits.
+    EXPECT_DOUBLE_EQ(step.duration, cost.Cost(batch, 1).total);
 }
 
 TEST(ServingEngineTest, StepLoopBitIdenticalToRun)
