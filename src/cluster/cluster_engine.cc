@@ -19,20 +19,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/**
- * SplitMix64 finalizer: derives statistically independent per-replica
- * seeds from (cluster seed, replica index). A plain `seed + index`
- * would hand adjacent mt19937_64 engines correlated states.
- */
-uint64_t
-DeriveSeed(uint64_t seed, uint64_t index)
-{
-    uint64_t z = seed + (index + 1) * 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
 }  // namespace
 
 ClusterConfig
@@ -49,8 +35,7 @@ ClusterEngine::ClusterEngine(ClusterConfig config,
                              SchedulerFactory make_scheduler,
                              std::unique_ptr<Router> router,
                              int num_threads)
-    : seed_(config.seed),
-      router_(std::move(router)),
+    : router_(std::move(router)),
       pool_(ThreadPool::ResolveThreads(num_threads))
 {
     POD_CHECK_ARG(!config.replicas.empty(),
@@ -59,7 +44,6 @@ ClusterEngine::ClusterEngine(ClusterConfig config,
                   "cluster needs a scheduler factory");
     POD_CHECK_ARG(router_ != nullptr, "cluster needs a router");
     replicas_.reserve(config.replicas.size());
-    replica_rngs_.reserve(config.replicas.size());
     // One attention cost table per cost identity: replica i joins the
     // table of the first earlier replica with the same identity.
     std::vector<size_t> table_of(config.replicas.size());
@@ -80,7 +64,6 @@ ClusterEngine::ClusterEngine(ClusterConfig config,
                       "scheduler factory returned null");
         replicas_.emplace_back(config.replicas[i], std::move(scheduler),
                                attn_tables_[table_of[i]]);
-        replica_rngs_.emplace_back(DeriveSeed(seed_, i));
     }
 }
 
@@ -91,15 +74,6 @@ ClusterEngine::Replica(int index) const
                       index < static_cast<int>(replicas_.size()),
                   "replica index out of range");
     return replicas_[static_cast<size_t>(index)];
-}
-
-Rng&
-ClusterEngine::ReplicaRng(int index)
-{
-    POD_CHECK_ARG(index >= 0 &&
-                      index < static_cast<int>(replica_rngs_.size()),
-                  "replica index out of range");
-    return replica_rngs_[static_cast<size_t>(index)];
 }
 
 void
@@ -145,14 +119,13 @@ ClusterEngine::AdvanceReplica(size_t r, double horizon,
     // Strictly-before: an event *at* the horizon belongs after the
     // routing decision, matching the serial loop's
     // `arrival_time <= t_step` routing condition. The replica touches
-    // only its own engine, RNG stream and accumulator, so this body
-    // is race-free and schedule-independent by construction.
+    // only its own engine and accumulator, so this body is race-free
+    // and schedule-independent by construction.
     serve::ServingEngine& replica = replicas_[r];
     while (replica.NextEventTime() < horizon) {
         serve::StepResult result = replica.Step();
         if (!result.progressed) continue;
         accum.busy_time += result.duration;
-        accum.tokens_processed += result.batch_tokens;
         accum.kv_peak = std::max(accum.kv_peak, result.kv_utilization);
         accum.kv_util_sum += result.kv_utilization;
         accum.kv_util_samples += 1;
@@ -175,13 +148,6 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
         pool_.ResetProfile();
     }
     const double run_start = prof ? telemetry::WallSeconds() : 0.0;
-    // Reseed the replica streams serially, in replica-index order,
-    // before any worker runs: stream state is a function of
-    // (cluster seed, replica index) alone, never of which thread
-    // advanced which replica last run.
-    for (size_t r = 0; r < num_replicas; ++r) {
-        replica_rngs_[r] = Rng(DeriveSeed(seed_, r));
-    }
 
     std::vector<ReplicaAccum> accum(num_replicas);
     std::vector<serve::ReplicaSnapshot> snapshots(num_replicas);
@@ -257,7 +223,6 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                                   request.id, pick);
         }
         replicas_[static_cast<size_t>(pick)].Submit(request);
-        accum[static_cast<size_t>(pick)].requests_routed += 1;
         if (prof) profile_.route.Accumulate(route_start);
         ++next_arrival;
     }
@@ -269,9 +234,10 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
     std::vector<ReplicaUtilization> util(num_replicas);
     for (size_t r = 0; r < num_replicas; ++r) {
         util[r].busy_time = accum[r].busy_time;
-        util[r].tokens_processed = accum[r].tokens_processed;
+        util[r].tokens_processed = replicas_[r].TotalBatchTokens();
         util[r].kv_peak = accum[r].kv_peak;
-        util[r].requests_routed = accum[r].requests_routed;
+        util[r].requests_routed =
+            static_cast<int>(replicas_[r].States().size());
     }
 
     ClusterMetricsReport report;

@@ -32,7 +32,6 @@
 
 #include "cluster/cluster_metrics.h"
 #include "cluster/router.h"
-#include "common/rng.h"
 #include "common/telemetry/profiler.h"
 #include "common/telemetry/trace.h"
 #include "common/thread_pool.h"
@@ -44,14 +43,6 @@ namespace pod::cluster {
 struct ClusterConfig
 {
     std::vector<serve::ServingConfig> replicas;
-
-    /**
-     * Cluster-level seed. Every replica-scoped RNG stream is derived
-     * from this deterministically by replica index (see
-     * ClusterEngine::ReplicaRng), never from thread identity, so
-     * stochastic policies stay reproducible under parallel execution.
-     */
-    uint64_t seed = 0x9E3779B97F4A7C15ull;
 
     /** N identical replicas of one base config. */
     static ClusterConfig Homogeneous(const serve::ServingConfig& base,
@@ -130,18 +121,6 @@ class ClusterEngine
 
     const Router& RouterPolicy() const { return *router_; }
 
-    /**
-     * The replica-scoped RNG stream (docs/DESIGN.md S8). This is the
-     * only sanctioned randomness source for per-replica policy code
-     * under parallel execution: each stream is owned by exactly one
-     * replica (so one worker thread at a time), and Run() reseeds all
-     * streams serially in replica-index order from
-     * ClusterConfig::seed before the first phase — never from the
-     * thread schedule. Routers run in the serial barrier-route phase
-     * and must not draw from these.
-     */
-    Rng& ReplicaRng(int index);
-
     // ---- observability (docs/OBSERVABILITY.md) ----
 
     /**
@@ -190,11 +169,9 @@ class ClusterEngine
     struct alignas(64) ReplicaAccum
     {
         double busy_time = 0.0;
-        double tokens_processed = 0.0;
         double kv_peak = 0.0;
         double kv_util_sum = 0.0;
         long kv_util_samples = 0;
-        int requests_routed = 0;
     };
 
     /**
@@ -203,10 +180,8 @@ class ClusterEngine
      */
     void AdvanceReplica(size_t r, double horizon, ReplicaAccum& accum);
 
-    uint64_t seed_;
     std::vector<serve::ServingEngine> replicas_;
     std::unique_ptr<Router> router_;
-    std::vector<Rng> replica_rngs_;
     ThreadPool pool_;
     /** One shared attention cost table per cost identity, in order of
      * the identity's first replica. */

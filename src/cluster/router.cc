@@ -13,6 +13,9 @@ namespace pod::cluster {
 
 namespace {
 
+/** PrefillAwareRouter routes prompts this long by decode load. */
+constexpr int kLongPromptThreshold = 8192;
+
 /**
  * Index of the replica minimizing a (primary, secondary) score pair
  * lexicographically, lowest index on remaining ties. The secondary
@@ -75,19 +78,12 @@ LeastKvPressureRouter::Route(const serve::Request& request,
     });
 }
 
-PrefillAwareRouter::PrefillAwareRouter(int long_prompt_threshold)
-    : long_prompt_threshold_(long_prompt_threshold)
-{
-    POD_CHECK_ARG(long_prompt_threshold >= 1,
-                  "long-prompt threshold must be >= 1");
-}
-
 int
 PrefillAwareRouter::Route(const serve::Request& request,
                           const std::vector<serve::ReplicaSnapshot>&
                               replicas)
 {
-    if (request.prefill_tokens >= long_prompt_threshold_) {
+    if (request.prefill_tokens >= kLongPromptThreshold) {
         return ArgMin(replicas, [](const serve::ReplicaSnapshot& r) {
             return std::make_pair(
                 static_cast<double>(r.decode_tokens_pending),

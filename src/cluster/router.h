@@ -99,29 +99,20 @@ class LeastKvPressureRouter : public Router
 };
 
 /**
- * Prefill/decode-affinity routing: long-prompt requests go to the
- * replica with the least outstanding decode work (a long chunked
- * prefill behind many active decodes inflates TTFT, and its chunks
- * steal every iteration's token budget from those decodes); short
- * requests fall back to least-outstanding.
+ * Prefill/decode-affinity routing: long-prompt requests (8192 tokens
+ * or more) go to the replica with the least outstanding decode work
+ * (a long chunked prefill behind many active decodes inflates TTFT,
+ * and its chunks steal every iteration's token budget from those
+ * decodes); short requests fall back to least-outstanding.
  */
 class PrefillAwareRouter : public Router
 {
   public:
-    /**
-     * @param long_prompt_threshold prompts at or above this many
-     *        tokens are routed by decode-load instead of queue depth.
-     */
-    explicit PrefillAwareRouter(int long_prompt_threshold = 8192);
-
     int Route(const serve::Request& request,
               const std::vector<serve::ReplicaSnapshot>& replicas)
         override;
 
     std::string Name() const override { return "prefill-aware"; }
-
-  private:
-    int long_prompt_threshold_;
 };
 
 /**

@@ -4,7 +4,6 @@
  */
 #include "common/telemetry/registry.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -19,7 +18,6 @@ MetricKindName(MetricKind kind)
     switch (kind) {
         case MetricKind::kCounter: return "counter";
         case MetricKind::kGauge: return "gauge";
-        case MetricKind::kHistogram: return "histogram";
     }
     return "unknown";
 }
@@ -64,70 +62,42 @@ JsonEscape(const std::string& s)
     return out;
 }
 
+/** The row's value: integer counter or round-trip formatted gauge. */
+std::string
+ValueString(const MetricRegistry::Row& row)
+{
+    return row.kind == MetricKind::kCounter ? std::to_string(row.counter)
+                                            : FormatDouble(row.gauge);
+}
+
 }  // namespace
 
 MetricRegistry::Slot&
 MetricRegistry::FindOrCreate(const std::string& name, MetricKind kind)
 {
     POD_CHECK_ARG(!name.empty(), "metric name must be non-empty");
-    auto it = index_.find(name);
-    if (it != index_.end()) {
-        Slot& slot = slots_[it->second];
-        POD_CHECK_ARG(slot.kind == kind,
-                      "metric re-registered with a different kind");
-        return slot;
-    }
-    index_.emplace(name, slots_.size());
-    slots_.emplace_back();
-    slots_.back().name = name;
-    slots_.back().kind = kind;
-    return slots_.back();
-}
-
-Counter
-MetricRegistry::GetCounter(const std::string& name)
-{
-    return Counter(&FindOrCreate(name, MetricKind::kCounter).counter);
-}
-
-Gauge
-MetricRegistry::GetGauge(const std::string& name)
-{
-    return Gauge(&FindOrCreate(name, MetricKind::kGauge).gauge);
-}
-
-Histogram
-MetricRegistry::GetHistogram(const std::string& name, double lo,
-                             double hi, int num_bins)
-{
-    auto it = index_.find(name);
-    if (it == index_.end()) {
-        Slot& slot = FindOrCreate(name, MetricKind::kHistogram);
-        slot.histogram = HistogramStats(lo, hi, num_bins);
-        return Histogram(&slot.histogram);
-    }
-    Slot& slot = slots_[it->second];
-    POD_CHECK_ARG(slot.kind == MetricKind::kHistogram,
+    auto [it, inserted] = slots_.try_emplace(name, Slot{kind});
+    POD_CHECK_ARG(inserted || it->second.kind == kind,
                   "metric re-registered with a different kind");
-    return Histogram(&slot.histogram);
+    return it->second;
 }
 
 void
 MetricRegistry::AddCounter(const std::string& name, long delta)
 {
-    GetCounter(name).Add(delta);
+    FindOrCreate(name, MetricKind::kCounter).counter += delta;
 }
 
 void
 MetricRegistry::SetGauge(const std::string& name, double value)
 {
-    GetGauge(name).Set(value);
+    FindOrCreate(name, MetricKind::kGauge).gauge = value;
 }
 
 bool
 MetricRegistry::Contains(const std::string& name) const
 {
-    return index_.find(name) != index_.end();
+    return slots_.count(name) > 0;
 }
 
 std::vector<MetricRegistry::Row>
@@ -135,17 +105,9 @@ MetricRegistry::Rows() const
 {
     std::vector<Row> rows;
     rows.reserve(slots_.size());
-    for (const Slot& slot : slots_) {
-        Row row;
-        row.name = slot.name;
-        row.kind = slot.kind;
-        row.counter = slot.counter;
-        row.gauge = slot.gauge;
-        row.histogram = &slot.histogram;
-        rows.push_back(std::move(row));
+    for (const auto& [name, slot] : slots_) {
+        rows.push_back(Row{name, slot.kind, slot.counter, slot.gauge});
     }
-    std::sort(rows.begin(), rows.end(),
-              [](const Row& a, const Row& b) { return a.name < b.name; });
     return rows;
 }
 
@@ -158,33 +120,8 @@ MetricRegistry::WriteJson(std::ostream& out) const
         if (!first) out << ",";
         first = false;
         out << "\n  {\"name\":\"" << JsonEscape(row.name)
-            << "\",\"kind\":\"" << MetricKindName(row.kind) << "\"";
-        switch (row.kind) {
-            case MetricKind::kCounter:
-                out << ",\"value\":" << row.counter;
-                break;
-            case MetricKind::kGauge:
-                out << ",\"value\":" << FormatDouble(row.gauge);
-                break;
-            case MetricKind::kHistogram: {
-                const HistogramStats& h = *row.histogram;
-                out << ",\"count\":" << h.Count()
-                    << ",\"mean\":" << FormatDouble(h.Mean())
-                    << ",\"p50\":" << FormatDouble(h.Percentile(50))
-                    << ",\"p99\":" << FormatDouble(h.Percentile(99))
-                    << ",\"min\":" << FormatDouble(h.Min())
-                    << ",\"max\":" << FormatDouble(h.Max())
-                    << ",\"underflow\":" << h.Underflow()
-                    << ",\"overflow\":" << h.Overflow() << ",\"bins\":[";
-                for (size_t i = 0; i < h.Bins().size(); ++i) {
-                    if (i > 0) out << ",";
-                    out << h.Bins()[i];
-                }
-                out << "]";
-                break;
-            }
-        }
-        out << "}";
+            << "\",\"kind\":\"" << MetricKindName(row.kind)
+            << "\",\"value\":" << ValueString(row) << "}";
     }
     out << "\n]}\n";
 }
@@ -194,32 +131,9 @@ MetricRegistry::WriteCsv(std::ostream& out) const
 {
     out << "name,kind,value,count,mean,p50,p99,min,max\n";
     for (const Row& row : Rows()) {
-        out << row.name << "," << MetricKindName(row.kind) << ",";
-        switch (row.kind) {
-            case MetricKind::kCounter:
-                out << row.counter << ",,,,,,\n";
-                break;
-            case MetricKind::kGauge:
-                out << FormatDouble(row.gauge) << ",,,,,,\n";
-                break;
-            case MetricKind::kHistogram: {
-                const HistogramStats& h = *row.histogram;
-                out << "," << h.Count() << "," << FormatDouble(h.Mean())
-                    << "," << FormatDouble(h.Percentile(50)) << ","
-                    << FormatDouble(h.Percentile(99)) << ","
-                    << FormatDouble(h.Min()) << ","
-                    << FormatDouble(h.Max()) << "\n";
-                break;
-            }
-        }
+        out << row.name << "," << MetricKindName(row.kind) << ","
+            << ValueString(row) << ",,,,,,\n";
     }
-}
-
-void
-MetricRegistry::Clear()
-{
-    slots_.clear();
-    index_.clear();
 }
 
 }  // namespace pod::telemetry

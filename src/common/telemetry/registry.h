@@ -1,14 +1,10 @@
 /**
  * @file
  * Named metric registry: the uniform, enumerable surface for every
- * counter, gauge and histogram the simulator reports
- * (docs/OBSERVABILITY.md).
+ * counter and gauge the simulator reports (docs/OBSERVABILITY.md).
  *
- * Registration (by dotted name, e.g. "serve.preempt.recompute") is a
- * cold-path hash lookup; updates go through small value-type handles
- * that hold a stable slot pointer, so a hot loop pays one pointer
- * write per update and never touches the name table. Slots live in a
- * std::deque, so handles stay valid as the registry grows.
+ * Producers publish through AddCounter/SetGauge on cold paths (report
+ * assembly); slots live in one name-ordered map.
  *
  * Naming scheme (docs/OBSERVABILITY.md): lowercase dotted segments,
  * `<layer>.<subsystem>.<metric>[.<unit>]`, with per-instance metrics
@@ -19,104 +15,37 @@
 #ifndef POD_COMMON_TELEMETRY_REGISTRY_H
 #define POD_COMMON_TELEMETRY_REGISTRY_H
 
-#include <cstdint>
-#include <deque>
 #include <iosfwd>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
-
-#include "common/stats.h"
 
 namespace pod::telemetry {
 
 /** What a registry slot holds. */
 enum class MetricKind {
-    kCounter,    ///< Monotonic integer count.
-    kGauge,      ///< Last-written scalar.
-    kHistogram,  ///< Fixed-bin HistogramStats distribution.
+    kCounter,  ///< Monotonic integer count.
+    kGauge,    ///< Last-written scalar.
 };
 
-/** Human-readable kind name ("counter", "gauge", "histogram"). */
+/** Human-readable kind name ("counter", "gauge"). */
 const char* MetricKindName(MetricKind kind);
 
-class MetricRegistry;
-
-/** Handle to a monotonically increasing integer metric. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void Add(long delta = 1) { *value_ += delta; }
-
-    long Value() const { return *value_; }
-
-  private:
-    friend class MetricRegistry;
-    explicit Counter(long* value) : value_(value) {}
-    long* value_ = nullptr;
-};
-
-/** Handle to a last-write-wins scalar metric. */
-class Gauge
-{
-  public:
-    Gauge() = default;
-
-    void Set(double value) { *value_ = value; }
-
-    double Value() const { return *value_; }
-
-  private:
-    friend class MetricRegistry;
-    explicit Gauge(double* value) : value_(value) {}
-    double* value_ = nullptr;
-};
-
-/** Handle to a fixed-bin histogram metric. */
-class Histogram
-{
-  public:
-    Histogram() = default;
-
-    void Add(double value) { stats_->Add(value); }
-
-    const HistogramStats& Stats() const { return *stats_; }
-
-  private:
-    friend class MetricRegistry;
-    explicit Histogram(HistogramStats* stats) : stats_(stats) {}
-    HistogramStats* stats_ = nullptr;
-};
-
 /**
- * Owns the metric slots. Not thread-safe: under the parallel cluster
- * engine each worker-side component owns a private registry (or
- * private handles into per-replica slots) and results are folded at
- * the barrier, mirroring the ReplicaAccum discipline.
+ * Owns the metric slots. Not thread-safe: registries are filled
+ * serially after a run, from per-replica results folded at the final
+ * barrier.
  */
 class MetricRegistry
 {
   public:
     /**
-     * Find-or-register a counter. Re-registering an existing name
-     * returns a handle to the same slot; registering a name that
-     * exists with a different kind is fatal.
+     * Find-or-register a counter and add to it. Registering a name
+     * that exists with a different kind is fatal.
      */
-    Counter GetCounter(const std::string& name);
-
-    /** Find-or-register a gauge. */
-    Gauge GetGauge(const std::string& name);
-
-    /** Find-or-register a histogram with the given bin geometry. */
-    Histogram GetHistogram(const std::string& name, double lo, double hi,
-                           int num_bins);
-
-    /** Convenience: register-and-add in one call (cold paths only). */
     void AddCounter(const std::string& name, long delta);
 
-    /** Convenience: register-and-set in one call (cold paths only). */
+    /** Find-or-register a gauge and overwrite it. */
     void SetGauge(const std::string& name, double value);
 
     /** Number of registered metrics. */
@@ -129,9 +58,8 @@ class MetricRegistry
     {
         std::string name;
         MetricKind kind = MetricKind::kCounter;
-        long counter = 0;                        ///< kCounter
-        double gauge = 0.0;                      ///< kGauge
-        const HistogramStats* histogram = nullptr;  ///< kHistogram
+        long counter = 0;    ///< kCounter
+        double gauge = 0.0;  ///< kGauge
     };
 
     /** All metrics, sorted by name (deterministic export order). */
@@ -145,28 +73,23 @@ class MetricRegistry
     void WriteJson(std::ostream& out) const;
 
     /**
-     * CSV dump: header then `name,kind,value` rows (histograms emit
-     * count/mean/p50/p99/min/max columns), name-sorted.
+     * CSV dump: header then one `name,kind,value` row per metric,
+     * name-sorted. The header keeps the count/mean/p50/p99/min/max
+     * distribution columns (always empty) so dumps stay comparable.
      */
     void WriteCsv(std::ostream& out) const;
-
-    /** Drop every metric (handles into this registry become invalid). */
-    void Clear();
 
   private:
     struct Slot
     {
-        std::string name;
         MetricKind kind;
         long counter = 0;
         double gauge = 0.0;
-        HistogramStats histogram{0.0, 1.0, 1};
     };
 
     Slot& FindOrCreate(const std::string& name, MetricKind kind);
 
-    std::deque<Slot> slots_;  ///< deque: stable addresses for handles
-    std::unordered_map<std::string, size_t> index_;
+    std::map<std::string, Slot> slots_;  ///< name-ordered
 };
 
 /**

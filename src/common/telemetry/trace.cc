@@ -41,7 +41,6 @@ Info(EventKind kind)
         {"finish", false, "decoded", nullptr},
         {"iteration", true, "tokens", "decodes"},
         {"route", false, "request", "replica"},
-        {"kernel", true, "ctas", nullptr},
     };
     return kInfos[static_cast<size_t>(kind)];
 }
@@ -72,23 +71,6 @@ TraceRecorder::TraceRecorder(int pid, std::string process_name,
     : pid_(pid), process_name_(std::move(process_name))
 {
     events_.reserve(reserve_events);
-}
-
-int
-TraceRecorder::InternName(const std::string& name)
-{
-    for (size_t i = 0; i < names_.size(); ++i) {
-        if (names_[i] == name) return static_cast<int>(i);
-    }
-    names_.push_back(name);
-    return static_cast<int>(names_.size()) - 1;
-}
-
-void
-TraceRecorder::Clear()
-{
-    events_.clear();
-    names_.clear();
 }
 
 void
@@ -158,13 +140,9 @@ WriteChromeTrace(std::ostream& out,
         const TraceRecorder& rec = *recorders[ref.rec];
         const TraceEvent& e = rec.Events()[ref.idx];
         const KindInfo& info = Info(e.kind);
-        const char* name = info.name;
-        if (e.name_ref >= 0) {
-            name = rec.Names()[static_cast<size_t>(e.name_ref)].c_str();
-        }
         emit_prefix() << "{\"ph\":\"" << (info.is_span ? "X" : "i")
                       << "\",\"pid\":" << rec.Pid() << ",\"tid\":"
-                      << e.tid << ",\"name\":\"" << name
+                      << e.tid << ",\"name\":\"" << info.name
                       << "\",\"cat\":\"" << info.name << "\",\"ts\":"
                       << TsString(e.ts);
         if (info.is_span) {

@@ -47,9 +47,6 @@ enum class EventKind : uint8_t {
 
     // Cluster (router process 0).
     kRoute,             ///< instant: arrival routed to a replica
-
-    // GPU simulator (gpusim::ExportKernelSpans).
-    kKernel,            ///< span: one kernel launch
 };
 
 /** Stable lowercase event name ("prefill_chunk", "route", ...). */
@@ -64,7 +61,6 @@ struct TraceEvent
     double ts = 0.0;      ///< sim-time seconds
     double dur = 0.0;     ///< span duration (0 for instants)
     int32_t tid = 0;      ///< track within the process
-    int32_t name_ref = -1;  ///< interned name override (-1: kind name)
     EventKind kind = EventKind::kArrival;
     int64_t a0 = 0;       ///< kind-specific argument
     int64_t a1 = 0;       ///< kind-specific argument
@@ -104,7 +100,7 @@ class TraceRecorder
     Span(EventKind kind, double ts, double dur, int tid, int64_t a0 = 0,
          int64_t a1 = 0)
     {
-        Push(kind, ts, dur, tid, -1, a0, a1);
+        Push(kind, ts, dur, tid, a0, a1);
     }
 
     /** Record an instant event. */
@@ -112,41 +108,23 @@ class TraceRecorder
     Instant(EventKind kind, double ts, int tid, int64_t a0 = 0,
             int64_t a1 = 0)
     {
-        Push(kind, ts, 0.0, tid, -1, a0, a1);
+        Push(kind, ts, 0.0, tid, a0, a1);
     }
-
-    /** Record a span with an interned display name (kernel spans). */
-    void
-    NamedSpan(EventKind kind, int name_ref, double ts, double dur,
-              int tid, int64_t a0 = 0, int64_t a1 = 0)
-    {
-        Push(kind, ts, dur, tid, name_ref, a0, a1);
-    }
-
-    /**
-     * Intern a display name, returning its reference for NamedSpan.
-     * Names are deduplicated; interning order must be deterministic
-     * (it is part of the exported bytes).
-     */
-    int InternName(const std::string& name);
 
     const std::vector<TraceEvent>& Events() const { return events_; }
 
-    const std::vector<std::string>& Names() const { return names_; }
-
-    /** Drop all events (and interned names), keeping the capacity. */
-    void Clear();
+    /** Drop all events, keeping the capacity. */
+    void Clear() { events_.clear(); }
 
   private:
     void
-    Push(EventKind kind, double ts, double dur, int tid, int name_ref,
-         int64_t a0, int64_t a1)
+    Push(EventKind kind, double ts, double dur, int tid, int64_t a0,
+         int64_t a1)
     {
         TraceEvent e;
         e.ts = ts;
         e.dur = dur;
         e.tid = tid;
-        e.name_ref = name_ref;
         e.kind = kind;
         e.a0 = a0;
         e.a1 = a1;
@@ -156,7 +134,6 @@ class TraceRecorder
     int pid_;
     std::string process_name_;
     std::vector<TraceEvent> events_;
-    std::vector<std::string> names_;
 };
 
 /**

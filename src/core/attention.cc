@@ -200,26 +200,22 @@ RunAttention(Backend backend, const HybridBatch& batch,
 
     // ---- full hybrid batches ----
     switch (backend) {
-      case Backend::kFaSerial: {
+      case Backend::kFaSerial:
+      case Backend::kFaStreams:
+      case Backend::kFiSerial: {
+        // Two standalone kernels: FI_Serial swaps in FlashInfer's
+        // decode geometry, FA_Streams puts decode on a second stream.
         UnitGeometry prefill = BuildPrefillGeom(batch, spec, true);
-        UnitGeometry decode = BuildFaDecodeGeom(batch, spec);
+        UnitGeometry decode = backend == Backend::kFiSerial
+                                  ? BuildFiDecodeGeom(batch, spec)
+                                  : BuildFaDecodeGeom(batch, spec);
+        const int decode_stream = backend == Backend::kFaStreams ? 1 : 0;
         gpusim::SimResult sim = engine.Run(
             {gpusim::KernelLaunch{
-                 kernels::MakeSimpleKernel("fa_prefill", prefill), 0},
+                 kernels::MakeSimpleKernel("prefill", prefill), 0},
              gpusim::KernelLaunch{
-                 kernels::MakeSimpleKernel("fa_decode", decode), 0}});
-        return MakeResult(backend, sim, spec,
-                          prefill.useful_tensor_flops +
-                              decode.useful_tensor_flops);
-      }
-      case Backend::kFaStreams: {
-        UnitGeometry prefill = BuildPrefillGeom(batch, spec, true);
-        UnitGeometry decode = BuildFaDecodeGeom(batch, spec);
-        gpusim::SimResult sim = engine.Run(
-            {gpusim::KernelLaunch{
-                 kernels::MakeSimpleKernel("fa_prefill", prefill), 0},
-             gpusim::KernelLaunch{
-                 kernels::MakeSimpleKernel("fa_decode", decode), 1}});
+                 kernels::MakeSimpleKernel("decode", decode),
+                 decode_stream}});
         return MakeResult(backend, sim, spec,
                           prefill.useful_tensor_flops +
                               decode.useful_tensor_flops);
@@ -230,18 +226,6 @@ RunAttention(Backend backend, const HybridBatch& batch,
         gpusim::KernelDesc kernel =
             kernels::MakeHFuseKernel("fa_hfuse", prefill, decode);
         return MakeResult(backend, engine.RunKernel(kernel), spec,
-                          prefill.useful_tensor_flops +
-                              decode.useful_tensor_flops);
-      }
-      case Backend::kFiSerial: {
-        UnitGeometry prefill = BuildPrefillGeom(batch, spec, true);
-        UnitGeometry decode = BuildFiDecodeGeom(batch, spec);
-        gpusim::SimResult sim = engine.Run(
-            {gpusim::KernelLaunch{
-                 kernels::MakeSimpleKernel("fi_prefill", prefill), 0},
-             gpusim::KernelLaunch{
-                 kernels::MakeSimpleKernel("fi_decode", decode), 0}});
-        return MakeResult(backend, sim, spec,
                           prefill.useful_tensor_flops +
                               decode.useful_tensor_flops);
       }

@@ -23,9 +23,6 @@ struct KernelTiming
 
     /** Time the last CTA of the kernel completed. */
     double end_time = 0.0;
-
-    /** Kernel duration. */
-    double Duration() const { return end_time - start_time; }
 };
 
 /** Per-OpClass accounting. */

@@ -12,6 +12,12 @@ namespace pod::serve {
 
 namespace {
 
+/** vLLM's cap on prefill tokens per prefill-only iteration. */
+constexpr int kMaxBatchedTokens = 16384;
+
+/** Cap on sequences per batch, both policies. */
+constexpr int kMaxNumSeqs = 256;
+
 /**
  * Admission and re-admission, FCFS with head-of-line blocking.
  *
@@ -93,7 +99,7 @@ Preempt(std::vector<RequestState>& requests, int req_index,
  */
 void
 ScheduleDecodes(std::vector<RequestState>& requests, KvAllocator& kv,
-                size_t active_begin, size_t admitted_end, int max_num_seqs,
+                size_t active_begin, size_t admitted_end,
                 SchedulingDecision& decision)
 {
     std::vector<int> running;
@@ -119,20 +125,13 @@ ScheduleDecodes(std::vector<RequestState>& requests, KvAllocator& kv,
         decision.batch.decodes.push_back(running[lo]);
         ++lo;
         if (static_cast<int>(decision.batch.decodes.size()) >=
-            max_num_seqs) {
+            kMaxNumSeqs) {
             break;
         }
     }
 }
 
 }  // namespace
-
-VllmScheduler::VllmScheduler(int max_batched_tokens, int max_num_seqs)
-    : max_batched_tokens_(max_batched_tokens), max_num_seqs_(max_num_seqs)
-{
-    POD_CHECK_ARG(max_batched_tokens >= 1, "token cap must be >= 1");
-    POD_CHECK_ARG(max_num_seqs >= 1, "sequence cap must be >= 1");
-}
 
 SchedulingDecision
 VllmScheduler::Next(double now, std::vector<RequestState>& requests,
@@ -154,8 +153,8 @@ VllmScheduler::Next(double now, std::vector<RequestState>& requests,
         if (!state.Admitted() || state.PrefillDone()) continue;
         int remaining = state.PrefillTarget() - state.prefilled;
         if (!batch.prefills.empty() &&
-            (tokens + remaining > max_batched_tokens_ ||
-             static_cast<int>(batch.prefills.size()) >= max_num_seqs_)) {
+            (tokens + remaining > kMaxBatchedTokens ||
+             static_cast<int>(batch.prefills.size()) >= kMaxNumSeqs)) {
             break;
         }
         batch.prefills.push_back(ScheduledBatch::PrefillChunk{
@@ -166,16 +165,14 @@ VllmScheduler::Next(double now, std::vector<RequestState>& requests,
         return decision;  // decodes pause: the generation stall (Fig. 2a)
     }
 
-    ScheduleDecodes(requests, kv, active_begin, admitted_end,
-                    max_num_seqs_, decision);
+    ScheduleDecodes(requests, kv, active_begin, admitted_end, decision);
     return decision;
 }
 
-SarathiScheduler::SarathiScheduler(int token_budget, int max_num_seqs)
-    : token_budget_(token_budget), max_num_seqs_(max_num_seqs)
+SarathiScheduler::SarathiScheduler(int token_budget)
+    : token_budget_(token_budget)
 {
     POD_CHECK_ARG(token_budget >= 1, "token budget must be >= 1");
-    POD_CHECK_ARG(max_num_seqs >= 1, "sequence cap must be >= 1");
 }
 
 SchedulingDecision
@@ -189,8 +186,7 @@ SarathiScheduler::Next(double now, std::vector<RequestState>& requests,
     ScheduledBatch& batch = decision.batch;
 
     // All running decodes join every iteration: stall-free batching.
-    ScheduleDecodes(requests, kv, active_begin, admitted_end,
-                    max_num_seqs_, decision);
+    ScheduleDecodes(requests, kv, active_begin, admitted_end, decision);
 
     // Prefill chunks fill the remaining token budget (paper S2.1).
     // Chunks draw on blocks reserved at admission, so they never

@@ -174,13 +174,6 @@ class Scheduler
 class VllmScheduler : public Scheduler
 {
   public:
-    /**
-     * @param max_batched_tokens cap on prefill tokens per iteration.
-     * @param max_num_seqs cap on sequences per batch.
-     */
-    explicit VllmScheduler(int max_batched_tokens = 16384,
-                           int max_num_seqs = 256);
-
     using Scheduler::Next;
     SchedulingDecision Next(double now,
                             std::vector<RequestState>& requests,
@@ -188,10 +181,6 @@ class VllmScheduler : public Scheduler
                             size_t& admitted_end) override;
 
     std::string Name() const override { return "vLLM"; }
-
-  private:
-    int max_batched_tokens_;
-    int max_num_seqs_;
 };
 
 /** Sarathi-Serve scheduler (chunked prefills, hybrid batching). */
@@ -202,10 +191,8 @@ class SarathiScheduler : public Scheduler
      * @param token_budget per-iteration token budget; decodes count
      *        one token each, prefill chunks fill the remainder
      *        (the paper's "chunk size").
-     * @param max_num_seqs cap on sequences per batch.
      */
-    explicit SarathiScheduler(int token_budget = 512,
-                              int max_num_seqs = 256);
+    explicit SarathiScheduler(int token_budget = 512);
 
     using Scheduler::Next;
     SchedulingDecision Next(double now,
@@ -217,7 +204,6 @@ class SarathiScheduler : public Scheduler
 
   private:
     int token_budget_;
-    int max_num_seqs_;
 };
 
 }  // namespace pod::serve

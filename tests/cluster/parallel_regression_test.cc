@@ -8,10 +8,7 @@
  * compare *exactly equal* — bit-identical doubles, not approximately
  * — to the single-threaded oracle, plus identical Chrome-trace bytes
  * for the heterogeneous fleet. Two scenarios are also swept at odd
- * and oversubscribed pool widths. Also pins the replica-RNG discipline:
- * streams are derived from (cluster seed, replica index) and
- * reseeded serially, so their state is independent of the thread
- * schedule.
+ * and oversubscribed pool widths.
  */
 #include "cluster/cluster_engine.h"
 
@@ -329,62 +326,6 @@ TEST(ParallelRegressionTest, RepeatedParallelRunsAreIdentical)
     }
     EXPECT_EQ(first.request_imbalance_cv, second.request_imbalance_cv);
     EXPECT_EQ(first.token_imbalance_cv, second.token_imbalance_cv);
-}
-
-// ---- replica-RNG audit (docs/DESIGN.md S8) ----
-
-TEST(ParallelRegressionTest, ReplicaRngStreamsAreDistinctPerReplica)
-{
-    Scenario s = ServeTraceFleet();
-    ClusterEngine engine(s.config, Sarathi(512),
-                         MakeRouter("round-robin"));
-    // SplitMix64-derived seeds: adjacent replicas must not produce
-    // the correlated draws a `seed + index` derivation would.
-    EXPECT_NE(engine.ReplicaRng(0).UniformInt(0, 1u << 30),
-              engine.ReplicaRng(1).UniformInt(0, 1u << 30));
-}
-
-TEST(ParallelRegressionTest,
-     ReplicaRngReseedingIsIndependentOfThreadSchedule)
-{
-    // The pin for the RNG-ownership audit: after a Run() at any
-    // thread count, every replica stream must sit at exactly the
-    // same state — Run() reseeds the streams serially in
-    // replica-index order from ClusterConfig::seed, and no code on
-    // the worker threads may share or consume another replica's
-    // stream. If any thread-schedule-dependent draw creeps in, the
-    // post-run draws below diverge.
-    Scenario s = HeterogeneousFleet();
-    std::vector<std::vector<int64_t>> draws;
-    for (int threads : ThreadCounts()) {
-        ClusterEngine engine(s.config, Sarathi(s.token_budget),
-                             MakeRouter("least-kv"), threads);
-        (void)engine.Run(s.trace);
-        std::vector<int64_t> per_replica;
-        for (int r = 0; r < engine.NumReplicas(); ++r) {
-            for (int d = 0; d < 4; ++d) {
-                per_replica.push_back(
-                    engine.ReplicaRng(r).UniformInt(0, 1ll << 40));
-            }
-        }
-        draws.push_back(std::move(per_replica));
-    }
-    for (size_t i = 1; i < draws.size(); ++i) {
-        EXPECT_EQ(draws[0], draws[i])
-            << "replica RNG state diverged at thread count sweep "
-            << i;
-    }
-}
-
-TEST(ParallelRegressionTest, ClusterSeedChangesReplicaStreams)
-{
-    Scenario s = ServeTraceFleet();
-    ClusterConfig reseeded = s.config;
-    reseeded.seed = 12345;
-    ClusterEngine a(s.config, Sarathi(512), MakeRouter("round-robin"));
-    ClusterEngine b(reseeded, Sarathi(512), MakeRouter("round-robin"));
-    EXPECT_NE(a.ReplicaRng(0).UniformInt(0, 1ll << 40),
-              b.ReplicaRng(0).UniformInt(0, 1ll << 40));
 }
 
 }  // namespace

@@ -69,14 +69,15 @@ TEST(LeastKvPressureRouterTest, PicksLowestPressure)
 
 TEST(PrefillAwareRouterTest, LongPromptsAvoidDecodeHeavyReplicas)
 {
-    PrefillAwareRouter router(/*long_prompt_threshold=*/4096);
+    PrefillAwareRouter router;
     std::vector<serve::ReplicaSnapshot> replicas = {
         Snap(0, 1, 0.1, 5000), Snap(1, 6, 0.6, 100),
         Snap(2, 3, 0.3, 2000)};
-    // Long prompt: replica 1 has the least pending decode work even
-    // though its queue is deepest.
+    // Long prompt (>= 8192 tokens): replica 1 has the least pending
+    // decode work even though its queue is deepest.
     EXPECT_EQ(router.Route(Req(8192), replicas), 1);
     // Short prompt: falls back to least-outstanding (replica 0).
+    EXPECT_EQ(router.Route(Req(8191), replicas), 0);
     EXPECT_EQ(router.Route(Req(512), replicas), 0);
 }
 

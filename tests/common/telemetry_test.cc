@@ -1,10 +1,9 @@
 /**
  * @file
  * Unit tests for the telemetry layer (docs/OBSERVABILITY.md): the
- * named metric registry (handle-based updates, kind checking,
+ * named metric registry (counter/gauge updates, kind checking,
  * name-sorted deterministic export), FormatDouble round-tripping, the
- * sim-time TraceRecorder, the Chrome trace-event exporter, and the
- * gpusim kernel-span adapter.
+ * sim-time TraceRecorder and the Chrome trace-event exporter.
  */
 #include "common/telemetry/registry.h"
 
@@ -18,8 +17,6 @@
 #include "common/logging.h"
 #include "common/telemetry/profiler.h"
 #include "common/telemetry/trace.h"
-#include "gpusim/sim_result.h"
-#include "gpusim/trace_export.h"
 
 namespace pod::telemetry {
 namespace {
@@ -29,54 +26,47 @@ namespace {
 TEST(MetricRegistry, CounterHandleUpdatesSlot)
 {
     MetricRegistry registry;
-    Counter c = registry.GetCounter("test.counter");
-    c.Add();
-    c.Add(41);
-    EXPECT_EQ(c.Value(), 42);
-    // Re-registering the same name returns the same slot.
-    Counter again = registry.GetCounter("test.counter");
-    again.Add(8);
-    EXPECT_EQ(c.Value(), 50);
-    EXPECT_EQ(registry.Size(), 1u);
+    registry.AddCounter("test.counter", 1);
+    registry.AddCounter("test.counter", 41);
+    ASSERT_EQ(registry.Size(), 1u);
+    EXPECT_EQ(registry.Rows()[0].counter, 42);
+    // Adding under the same name accumulates into the same slot.
+    registry.AddCounter("test.counter", 8);
+    ASSERT_EQ(registry.Size(), 1u);
+    EXPECT_EQ(registry.Rows()[0].kind, MetricKind::kCounter);
+    EXPECT_EQ(registry.Rows()[0].counter, 50);
 }
 
 TEST(MetricRegistry, GaugeLastWriteWins)
 {
     MetricRegistry registry;
-    Gauge g = registry.GetGauge("test.gauge");
-    g.Set(1.5);
-    g.Set(-2.25);
-    EXPECT_DOUBLE_EQ(g.Value(), -2.25);
-}
-
-TEST(MetricRegistry, HistogramHandleAccumulates)
-{
-    MetricRegistry registry;
-    Histogram h = registry.GetHistogram("test.hist", 0.0, 10.0, 10);
-    h.Add(1.0);
-    h.Add(9.5);
-    EXPECT_EQ(h.Stats().Count(), 2);
-    EXPECT_DOUBLE_EQ(h.Stats().Max(), 9.5);
+    registry.SetGauge("test.gauge", 1.5);
+    registry.SetGauge("test.gauge", -2.25);
+    ASSERT_EQ(registry.Size(), 1u);
+    EXPECT_EQ(registry.Rows()[0].kind, MetricKind::kGauge);
+    EXPECT_DOUBLE_EQ(registry.Rows()[0].gauge, -2.25);
 }
 
 TEST(MetricRegistry, HandlesSurviveRegistryGrowth)
 {
-    // Slots live in a deque: handles taken early must stay valid as
-    // hundreds of later registrations grow the table.
+    // A slot registered early keeps its value as hundreds of later
+    // registrations grow the table.
     MetricRegistry registry;
-    Counter first = registry.GetCounter("aaa.first");
+    registry.AddCounter("aaa.first", 3);
     for (int i = 0; i < 500; ++i) {
-        registry.GetCounter("filler." + std::to_string(i));
+        registry.AddCounter("filler." + std::to_string(i), 1);
     }
-    first.Add(7);
-    EXPECT_EQ(registry.GetCounter("aaa.first").Value(), 7);
+    registry.AddCounter("aaa.first", 4);
+    ASSERT_EQ(registry.Size(), 501u);
+    EXPECT_EQ(registry.Rows()[0].name, "aaa.first");
+    EXPECT_EQ(registry.Rows()[0].counter, 7);
 }
 
 TEST(MetricRegistryDeathTest, KindMismatchIsFatal)
 {
     MetricRegistry registry;
-    registry.GetCounter("test.name");
-    EXPECT_DEATH(registry.GetGauge("test.name"), "kind");
+    registry.AddCounter("test.name", 1);
+    EXPECT_DEATH(registry.SetGauge("test.name", 1.0), "kind");
 }
 
 TEST(MetricRegistry, RowsAreNameSorted)
@@ -112,22 +102,16 @@ TEST(MetricRegistry, JsonAndCsvExportsAreDeterministic)
     b.WriteCsv(cb);
     EXPECT_EQ(ja.str(), jb.str());
     EXPECT_EQ(ca.str(), cb.str());
-    EXPECT_NE(ja.str().find("\"metrics\""), std::string::npos);
-    EXPECT_NE(ca.str().find("name,kind"), std::string::npos);
-}
-
-TEST(MetricRegistry, JsonIncludesHistogramSummary)
-{
-    MetricRegistry registry;
-    Histogram h = registry.GetHistogram("lat", 0.0, 1.0, 4);
-    h.Add(0.3);
-    h.Add(0.7);
-    std::ostringstream out;
-    registry.WriteJson(out);
-    const std::string json = out.str();
-    EXPECT_NE(json.find("\"kind\":\"histogram\""), std::string::npos);
-    EXPECT_NE(json.find("\"count\":2"), std::string::npos);
-    EXPECT_NE(json.find("\"bins\""), std::string::npos);
+    // Whole-output pins: the exported bytes, header included.
+    EXPECT_EQ(ja.str(),
+              "{\"metrics\":[\n"
+              "  {\"name\":\"a.value\",\"kind\":\"gauge\",\"value\":0.1},\n"
+              "  {\"name\":\"x.count\",\"kind\":\"counter\",\"value\":3}\n"
+              "]}\n");
+    EXPECT_EQ(ca.str(),
+              "name,kind,value,count,mean,p50,p99,min,max\n"
+              "a.value,gauge,0.1,,,,,,\n"
+              "x.count,counter,3,,,,,,\n");
 }
 
 TEST(FormatDouble, RoundTripsExactly)
@@ -157,27 +141,14 @@ TEST(TraceRecorder, RecordsEventsInOrder)
     EXPECT_EQ(recorder.ProcessName(), "replica0");
 }
 
-TEST(TraceRecorder, InternNameDeduplicates)
-{
-    TraceRecorder recorder(0, "p");
-    int a = recorder.InternName("attn_prefill");
-    int b = recorder.InternName("attn_decode");
-    int a2 = recorder.InternName("attn_prefill");
-    EXPECT_EQ(a, a2);
-    EXPECT_NE(a, b);
-    ASSERT_EQ(recorder.Names().size(), 2u);
-    EXPECT_EQ(recorder.Names()[static_cast<size_t>(a)], "attn_prefill");
-}
-
 TEST(TraceRecorder, ClearKeepsIdentityDropsEvents)
 {
     TraceRecorder recorder(2, "p");
     recorder.Instant(EventKind::kFinish, 1.0, 0);
-    recorder.InternName("k");
     recorder.Clear();
     EXPECT_TRUE(recorder.Events().empty());
-    EXPECT_TRUE(recorder.Names().empty());
     EXPECT_EQ(recorder.Pid(), 2);
+    EXPECT_EQ(recorder.ProcessName(), "p");
 }
 
 TEST(EventKind, NamesAndSpanFlags)
@@ -186,7 +157,7 @@ TEST(EventKind, NamesAndSpanFlags)
                  "prefill_chunk");
     EXPECT_STREQ(EventKindName(EventKind::kRoute), "route");
     EXPECT_TRUE(EventKindIsSpan(EventKind::kIteration));
-    EXPECT_TRUE(EventKindIsSpan(EventKind::kKernel));
+    EXPECT_TRUE(EventKindIsSpan(EventKind::kPrefillChunk));
     EXPECT_FALSE(EventKindIsSpan(EventKind::kDecodeToken));
 }
 
@@ -216,6 +187,30 @@ TEST(WriteChromeTrace, MergesRecordersDeterministically)
     // Instants carry thread scope, spans are complete events.
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+    // Whole-output pin: the exported bytes.
+    EXPECT_EQ(
+        json,
+        "{\"traceEvents\":[\n"
+        "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":"
+        "{\"name\":\"cluster\"}},\n"
+        "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":"
+        "{\"name\":\"router\"}},\n"
+        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":"
+        "{\"name\":\"replica0\"}},\n"
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":"
+        "{\"name\":\"engine\"}},\n"
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":8,\"name\":\"thread_name\",\"args\":"
+        "{\"name\":\"req 7\"}},\n"
+        "{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"name\":\"route\",\"cat\":"
+        "\"route\",\"ts\":2.5e+05,\"s\":\"t\",\"args\":{\"request\":7,"
+        "\"replica\":0}},\n"
+        "{\"ph\":\"i\",\"pid\":1,\"tid\":8,\"name\":\"arrival\",\"cat\":"
+        "\"arrival\",\"ts\":2.5e+05,\"s\":\"t\",\"args\":{\"prefill\":64,"
+        "\"decode\":8}},\n"
+        "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"iteration\",\"cat\":"
+        "\"iteration\",\"ts\":2.5e+05,\"dur\":1.25e+04,\"args\":{\"tokens\":64,"
+        "\"decodes\":0}}\n"
+        "],\"displayTimeUnit\":\"ms\"}\n");
 }
 
 TEST(WriteChromeTrace, TieBreaksByRecorderOrder)
@@ -265,36 +260,6 @@ TEST(Profiler, FillRegistryPublishesPhaseAndThreadStats)
     std::string summary = profile.Summary();
     EXPECT_NE(summary.find("advance"), std::string::npos);
     EXPECT_NE(summary.find("thread"), std::string::npos);
-}
-
-// ------------------------------------------------- gpusim adapter
-
-TEST(ExportKernelSpans, OneSpanPerKernelWithInternedNames)
-{
-    gpusim::SimResult result;
-    result.kernels.push_back(
-        gpusim::KernelTiming{"attn_prefill", 0.0, 0.002});
-    result.kernels.push_back(
-        gpusim::KernelTiming{"attn_decode", 0.002, 0.0035});
-    result.kernels.push_back(
-        gpusim::KernelTiming{"attn_prefill", 0.0035, 0.004});
-
-    TraceRecorder recorder(1, "gpu");
-    gpusim::ExportKernelSpans(result, recorder, 10.0);
-
-    ASSERT_EQ(recorder.Events().size(), 3u);
-    EXPECT_EQ(recorder.Names().size(), 2u);  // names deduplicated
-    const TraceEvent& e0 = recorder.Events()[0];
-    EXPECT_EQ(e0.kind, EventKind::kKernel);
-    EXPECT_DOUBLE_EQ(e0.ts, 10.0);
-    EXPECT_DOUBLE_EQ(e0.dur, 0.002);
-    EXPECT_EQ(recorder.Names()[static_cast<size_t>(e0.name_ref)],
-              "attn_prefill");
-    // Interned display names surface in the export.
-    std::ostringstream out;
-    WriteChromeTrace(out, {&recorder});
-    EXPECT_NE(out.str().find("\"name\":\"attn_decode\""),
-              std::string::npos);
 }
 
 }  // namespace

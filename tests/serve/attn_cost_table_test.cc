@@ -388,7 +388,9 @@ TEST(AttnCostTableTest, DisabledCacheBypassesTheSharedTable)
     EXPECT_EQ(written.size(), table->Size());
     for (const auto& [key, layer_time] : solo.AttnCache()) {
         const std::optional<AttnCost> shared = table->Find(key);
-        if (shared) EXPECT_EQ(shared->total_time, layer_time);
+        if (shared) {
+            EXPECT_EQ(shared->total_time, layer_time);
+        }
     }
 }
 
