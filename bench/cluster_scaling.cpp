@@ -30,7 +30,11 @@
  * batch-building scans. A regression of either class bursts the 60 s
  * budget (the CI runs this on every push; the budget leaves ~10x
  * headroom for slow shared runners while sitting ~6x under the
- * regressed cost).
+ * regressed cost). The serial run also prints the process peak RSS
+ * (`getrusage` ru_maxrss, recorded as `profile.peak_rss_mb` in
+ * --json-out) and fails above 1 GB: storing one double per TBT
+ * sample in the serve loop peaked at ~1.7 GB, the run-length TBT set
+ * at ~0.3 GB (4-core x86-64 host, Release, GCC 12.2).
  *
  * `--long-smoke --threads N` is the parallel pin: the same 1M
  * requests on an 8-replica fleet, run serial then parallel, with the
@@ -56,6 +60,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "bench_util.h"
 #include "cluster/cluster_engine.h"
 #include "common/rng.h"
@@ -70,6 +76,15 @@ namespace {
 
 constexpr uint64_t kSeed = 2025;
 constexpr int kChunk = 2048;
+
+/** Peak resident set size of this process so far, in MB. */
+double
+PeakRssMb()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
 
 serve::ServingConfig
 ReplicaConfig()
@@ -207,6 +222,7 @@ EmitTelemetry(const TelemetryOptions& telemetry, int threads)
         telemetry::MetricRegistry registry;
         FillRegistry(report, registry);
         cluster.Profile().FillRegistry(registry, "profile.");
+        registry.SetGauge("profile.peak_rss_mb", PeakRssMb());
         WriteMetricsFile(telemetry, registry);
     }
 }
@@ -352,6 +368,7 @@ RunHeterogeneousPin(int threads, const TelemetryOptions& telemetry)
         registry.SetGauge("pin.advance_seconds",
                           run.profile.advance.seconds);
         registry.SetGauge("pin.barrier_wait_fraction", frac);
+        registry.SetGauge("profile.peak_rss_mb", PeakRssMb());
         WriteMetricsFile(telemetry, registry);
     }
     return 0;
@@ -362,6 +379,7 @@ RunLongSmoke(int threads, const TelemetryOptions& telemetry)
 {
     constexpr int kRequests = 1'000'000;
     constexpr double kBudgetSeconds = 60.0;
+    constexpr double kRssBudgetMb = 1024.0;
     // Serial pin: 2 replicas. Parallel pin: 8 replicas, where a
     // 4-thread advance phase has enough independent replica work to
     // show its >= 2x.
@@ -423,6 +441,19 @@ RunLongSmoke(int threads, const TelemetryOptions& telemetry)
                     "budget -- the O(active) cluster loop has "
                     "regressed\n");
         return 1;
+    }
+    const double rss_mb = PeakRssMb();
+    if (threads > 1) {
+        std::printf("  peak RSS: %.0f MB\n", rss_mb);
+    } else {
+        std::printf("  peak RSS: %.0f MB (budget %.0f MB)\n", rss_mb,
+                    kRssBudgetMb);
+        if (rss_mb > kRssBudgetMb) {
+            std::printf("FAIL: long-trace smoke exceeded its memory "
+                        "budget -- per-token storage has crept back "
+                        "into the serve loop\n");
+            return 1;
+        }
     }
     std::printf("PASS\n");
     return 0;

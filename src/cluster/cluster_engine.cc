@@ -245,8 +245,8 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
     report.num_replicas = static_cast<int>(num_replicas);
     report.utilization = std::move(util);
 
-    std::vector<const std::vector<serve::RequestState>*> fleet_states;
-    fleet_states.reserve(num_replicas);
+    std::vector<serve::ReplicaRecords> fleet_records;
+    fleet_records.reserve(num_replicas);
     double fleet_makespan = 0.0;
     long fleet_iterations = 0;
     double fleet_tokens = 0.0;
@@ -265,7 +265,7 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                 : 0.0;
         report += report.per_replica[r];
         report.preemptions += report.per_replica[r].preemptions;
-        fleet_states.push_back(&replica.States());
+        fleet_records.push_back({&replica.States(), &replica.Tbt()});
         fleet_makespan = std::max(fleet_makespan, replica.Now());
         fleet_iterations += replica.Iterations();
         fleet_tokens += replica.TotalBatchTokens();
@@ -275,7 +275,7 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
             report.utilization[r].tokens_processed);
     }
 
-    report.fleet = serve::CollectMetrics(fleet_states, fleet_makespan,
+    report.fleet = serve::CollectMetrics(fleet_records, fleet_makespan,
                                          fleet_iterations, fleet_tokens);
     report.fleet.system = router_->Name();
     // CollectMetrics recovers the per-request preemption counts from

@@ -7,104 +7,170 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "common/logging.h"
 
 namespace pod {
 
+namespace {
+
+/** Bit-identical, so 0.0 and -0.0 stay distinct runs. */
+bool
+SameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+}  // namespace
+
 void
 SampleStats::Add(double value)
 {
-    samples_.push_back(value);
-    sorted_ = false;
+    if (!runs_.empty() && SameBits(runs_.back().value, value)) {
+        ++runs_.back().count;
+    } else {
+        runs_.push_back(Run{value, 1});
+    }
+    ++count_;
+    sorted_.clear();
 }
 
 void
 SampleStats::AddAll(const std::vector<double>& values)
 {
-    samples_.insert(samples_.end(), values.begin(), values.end());
-    sorted_ = false;
+    for (double v : values) Add(v);
+}
+
+void
+SampleStats::Append(const SampleStats& other)
+{
+    if (other.runs_.empty()) return;
+    auto first = other.runs_.begin();
+    if (!runs_.empty() && SameBits(runs_.back().value, first->value)) {
+        runs_.back().count += first->count;
+        ++first;
+    }
+    runs_.insert(runs_.end(), first, other.runs_.end());
+    count_ += other.count_;
+    sorted_.clear();
 }
 
 double
 SampleStats::Mean() const
 {
-    if (samples_.empty()) return 0.0;
-    return Sum() / static_cast<double>(samples_.size());
+    if (count_ == 0) return 0.0;
+    return Sum() / static_cast<double>(count_);
 }
 
 double
 SampleStats::Sum() const
 {
+    // One addition per sample: a run of n is not n * value, which
+    // rounds differently.
     double total = 0.0;
-    for (double s : samples_) total += s;
+    for (const Run& r : runs_) {
+        for (size_t i = 0; i < r.count; ++i) total += r.value;
+    }
     return total;
 }
 
 double
 SampleStats::Stddev() const
 {
-    if (samples_.size() < 2) return 0.0;
+    if (count_ < 2) return 0.0;
     double mean = Mean();
     double acc = 0.0;
-    for (double s : samples_) acc += (s - mean) * (s - mean);
-    return std::sqrt(acc / static_cast<double>(samples_.size()));
+    for (const Run& r : runs_) {
+        double sq = (r.value - mean) * (r.value - mean);
+        for (size_t i = 0; i < r.count; ++i) acc += sq;
+    }
+    return std::sqrt(acc / static_cast<double>(count_));
 }
 
 double
 SampleStats::Min() const
 {
-    if (samples_.empty()) return 0.0;
-    return *std::min_element(samples_.begin(), samples_.end());
+    // First minimal sample in insertion order, as std::min_element.
+    if (runs_.empty()) return 0.0;
+    double best = runs_.front().value;
+    for (const Run& r : runs_) {
+        if (r.value < best) best = r.value;
+    }
+    return best;
 }
 
 double
 SampleStats::Max() const
 {
-    if (samples_.empty()) return 0.0;
-    return *std::max_element(samples_.begin(), samples_.end());
+    // First maximal sample in insertion order, as std::max_element.
+    if (runs_.empty()) return 0.0;
+    double best = runs_.front().value;
+    for (const Run& r : runs_) {
+        if (best < r.value) best = r.value;
+    }
+    return best;
 }
 
 void
 SampleStats::EnsureSorted() const
 {
-    if (!sorted_) {
-        auto& mut = const_cast<std::vector<double>&>(samples_);
-        std::sort(mut.begin(), mut.end());
-        const_cast<bool&>(sorted_) = true;
+    if (!sorted_.empty()) return;
+    std::vector<Run> runs = runs_;
+    std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+        return a.value < b.value;
+    });
+    size_t end = 0;
+    for (const Run& r : runs) {
+        end += r.count;
+        if (!sorted_.empty() && SameBits(sorted_.back().value, r.value)) {
+            sorted_.back().end = end;
+        } else {
+            sorted_.push_back(OrderStat{r.value, end});
+        }
     }
+}
+
+double
+SampleStats::SortedAt(size_t rank) const
+{
+    auto it = std::upper_bound(
+        sorted_.begin(), sorted_.end(), rank,
+        [](size_t r, const OrderStat& s) { return r < s.end; });
+    return it->value;
 }
 
 double
 SampleStats::Percentile(double p) const
 {
     POD_CHECK_ARG(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-    if (samples_.empty()) return 0.0;
+    if (count_ == 0) return 0.0;
     EnsureSorted();
-    if (samples_.size() == 1) return samples_[0];
-    double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
+    if (count_ == 1) return sorted_.front().value;
+    double rank = (p / 100.0) * static_cast<double>(count_ - 1);
     size_t lo = static_cast<size_t>(rank);
-    size_t hi = std::min(lo + 1, samples_.size() - 1);
+    size_t hi = std::min(lo + 1, count_ - 1);
     double frac = rank - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+    return SortedAt(lo) * (1.0 - frac) + SortedAt(hi) * frac;
 }
 
 double
 SampleStats::FractionAbove(double threshold) const
 {
-    if (samples_.empty()) return 0.0;
+    if (count_ == 0) return 0.0;
     size_t n = 0;
-    for (double s : samples_) {
-        if (s > threshold) ++n;
+    for (const Run& r : runs_) {
+        if (r.value > threshold) n += r.count;
     }
-    return static_cast<double>(n) / static_cast<double>(samples_.size());
+    return static_cast<double>(n) / static_cast<double>(count_);
 }
 
 void
 SampleStats::Clear()
 {
-    samples_.clear();
-    sorted_ = true;
+    runs_.clear();
+    count_ = 0;
+    sorted_.clear();
 }
 
 std::string
@@ -115,132 +181,6 @@ SampleStats::Summary() const
                   "n=%zu mean=%.4g p50=%.4g p99=%.4g min=%.4g max=%.4g",
                   Count(), Mean(), Percentile(50), Percentile(99), Min(),
                   Max());
-    return std::string(buf);
-}
-
-HistogramStats::HistogramStats(double lo, double hi, int num_bins)
-    : lo_(lo), hi_(hi)
-{
-    POD_CHECK_ARG(hi > lo, "histogram needs hi > lo");
-    POD_CHECK_ARG(num_bins >= 1, "histogram needs at least one bin");
-    bins_.assign(static_cast<size_t>(num_bins), 0);
-    bin_width_ = (hi_ - lo_) / static_cast<double>(num_bins);
-}
-
-void
-HistogramStats::Add(double value)
-{
-    if (count_ == 0) {
-        min_ = max_ = value;
-    } else {
-        if (value < min_) min_ = value;
-        if (value > max_) max_ = value;
-    }
-    ++count_;
-    sum_ += value;
-    if (value < lo_) {
-        ++underflow_;
-    } else if (value >= hi_) {
-        ++overflow_;
-    } else {
-        auto bin = static_cast<size_t>((value - lo_) / bin_width_);
-        // Guard the floating-point edge where (value - lo_) / width
-        // rounds up to the bin count even though value < hi_.
-        if (bin >= bins_.size()) bin = bins_.size() - 1;
-        ++bins_[bin];
-    }
-}
-
-double
-HistogramStats::Mean() const
-{
-    if (count_ == 0) return 0.0;
-    return sum_ / static_cast<double>(count_);
-}
-
-double
-HistogramStats::Min() const
-{
-    return count_ == 0 ? 0.0 : min_;
-}
-
-double
-HistogramStats::Max() const
-{
-    return count_ == 0 ? 0.0 : max_;
-}
-
-double
-HistogramStats::BinLow(int i) const
-{
-    return lo_ + bin_width_ * static_cast<double>(i);
-}
-
-double
-HistogramStats::Percentile(double p) const
-{
-    POD_CHECK_ARG(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-    if (count_ == 0) return 0.0;
-    // Rank in [0, count): the sample index the percentile names.
-    double rank = (p / 100.0) * static_cast<double>(count_ - 1);
-    double cumulative = static_cast<double>(underflow_);
-    if (rank < cumulative) return min_;  // inside the underflow mass
-    for (size_t i = 0; i < bins_.size(); ++i) {
-        double in_bin = static_cast<double>(bins_[i]);
-        if (in_bin > 0.0 && rank < cumulative + in_bin) {
-            // Interpolate within the bin, then clamp to the exact
-            // observed range so estimates never leave [min, max].
-            double frac = (rank - cumulative + 0.5) / in_bin;
-            double v = BinLow(static_cast<int>(i)) + frac * bin_width_;
-            return std::min(std::max(v, min_), max_);
-        }
-        cumulative += in_bin;
-    }
-    return max_;  // inside the overflow mass (or p == 100)
-}
-
-void
-HistogramStats::Merge(const HistogramStats& other)
-{
-    POD_CHECK_ARG(lo_ == other.lo_ && hi_ == other.hi_ &&
-                      bins_.size() == other.bins_.size(),
-                  "histogram merge requires identical bin geometry");
-    if (other.count_ == 0) return;
-    if (count_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    for (size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    count_ += other.count_;
-    sum_ += other.sum_;
-}
-
-void
-HistogramStats::Clear()
-{
-    std::fill(bins_.begin(), bins_.end(), 0L);
-    underflow_ = 0;
-    overflow_ = 0;
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
-std::string
-HistogramStats::Summary() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "n=%ld mean=%.4g p50~%.4g p99~%.4g min=%.4g max=%.4g "
-                  "under=%ld over=%ld",
-                  count_, Mean(), Percentile(50), Percentile(99), Min(),
-                  Max(), underflow_, overflow_);
     return std::string(buf);
 }
 

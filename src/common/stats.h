@@ -15,20 +15,40 @@ namespace pod {
 /**
  * Accumulates scalar samples and reports summary statistics.
  *
- * Samples are retained so exact percentiles can be computed; suitable
- * for the sample counts this library handles (millions at most).
+ * The multiset is stored as run-length (value, count) pairs in
+ * insertion order: Add() extends the last run when the new sample is
+ * bit-identical to it. A stream of repeated values — one inter-token
+ * gap shared by every decode of an iteration — therefore costs one
+ * run, not one double per sample.
+ *
+ * Exactness contract: every accessor returns what a plain vector of
+ * the samples would, bit for bit. Sum, Mean and Stddev add the
+ * samples one by one in insertion order (a run of n adds its value n
+ * times); Min and Max scan the runs in insertion order; Percentile
+ * reads order statistics from a lazily built sorted, merged copy of
+ * the runs. No accessor reorders the stored runs.
  */
 class SampleStats
 {
   public:
+    /** `count` consecutive samples of `value`. */
+    struct Run
+    {
+        double value = 0.0;
+        size_t count = 0;
+    };
+
     /** Add one sample. */
     void Add(double value);
 
     /** Add many samples. */
     void AddAll(const std::vector<double>& values);
 
+    /** Append another set's samples after this one's, in its order. */
+    void Append(const SampleStats& other);
+
     /** Number of samples recorded. */
-    size_t Count() const { return samples_.size(); }
+    size_t Count() const { return count_; }
 
     /** Arithmetic mean (0 if empty). */
     double Mean() const;
@@ -42,7 +62,7 @@ class SampleStats
     /** Maximum sample (0 if empty). */
     double Max() const;
 
-    /** Sum of all samples. */
+    /** Sum of all samples, added in insertion order. */
     double Sum() const;
 
     /**
@@ -57,8 +77,8 @@ class SampleStats
     /** Fraction of samples strictly greater than the threshold. */
     double FractionAbove(double threshold) const;
 
-    /** Access to raw samples (sorted on demand internally). */
-    const std::vector<double>& Samples() const { return samples_; }
+    /** The samples as maximal runs, in insertion order. */
+    const std::vector<Run>& Runs() const { return runs_; }
 
     /** Reset to empty. */
     void Clear();
@@ -67,98 +87,23 @@ class SampleStats
     std::string Summary() const;
 
   private:
-    /** Sort the retained samples if new ones arrived since last sort. */
+    /** A distinct value and the number of samples <= it. */
+    struct OrderStat
+    {
+        double value;
+        size_t end;
+    };
+
+    /** Build the sorted order statistics unless already built. */
     void EnsureSorted() const;
 
-    std::vector<double> samples_;
-    mutable bool sorted_ = true;
-};
+    /** The sample at `rank` in sorted order (rank < Count()). */
+    double SortedAt(size_t rank) const;
 
-/**
- * Fixed-bin histogram accumulator for million-sample telemetry.
- *
- * Unlike SampleStats it retains no samples: Add() is O(1) and the
- * footprint is the bin array, so it suits counters that see one
- * sample per simulated token or iteration. Percentiles are estimated
- * by linear interpolation inside the covering bin (error bounded by
- * the bin width); exact min/max/mean are tracked alongside.
- *
- * Samples below `lo` or at/above `hi` land in dedicated underflow /
- * overflow bins and still count toward the moments and percentiles
- * (clamped to the observed min/max).
- */
-class HistogramStats
-{
-  public:
-    /**
-     * @param lo inclusive lower bound of the binned range.
-     * @param hi exclusive upper bound, > lo.
-     * @param num_bins number of equal-width bins, >= 1.
-     */
-    HistogramStats(double lo, double hi, int num_bins);
-
-    /** Record one sample. O(1), no allocation. */
-    void Add(double value);
-
-    long Count() const { return count_; }
-
-    /** Arithmetic mean (0 if empty). Exact, not bin-estimated. */
-    double Mean() const;
-
-    /** Minimum sample (0 if empty). Exact. */
-    double Min() const;
-
-    /** Maximum sample (0 if empty). Exact. */
-    double Max() const;
-
-    /** Sum of all samples. Exact. */
-    double Sum() const { return sum_; }
-
-    /** Samples below the binned range. */
-    long Underflow() const { return underflow_; }
-
-    /** Samples at or above the binned range. */
-    long Overflow() const { return overflow_; }
-
-    /**
-     * Estimated percentile (p in [0, 100]) by linear interpolation
-     * within the covering bin; clamped to the exact observed
-     * [Min(), Max()]. 0 if empty.
-     */
-    double Percentile(double p) const;
-
-    /** Per-bin counts (excludes the underflow/overflow bins). */
-    const std::vector<long>& Bins() const { return bins_; }
-
-    /** Inclusive lower edge of bin i. */
-    double BinLow(int i) const;
-
-    /** Exclusive upper edge of bin i. */
-    double BinHigh(int i) const { return BinLow(i + 1); }
-
-    /**
-     * Fold another histogram in. The two must have identical bin
-     * geometry (lo, hi, bin count).
-     */
-    void Merge(const HistogramStats& other);
-
-    /** Reset to empty, keeping the bin geometry. */
-    void Clear();
-
-    /** One-line human-readable summary. */
-    std::string Summary() const;
-
-  private:
-    double lo_;
-    double hi_;
-    double bin_width_;
-    std::vector<long> bins_;
-    long underflow_ = 0;
-    long overflow_ = 0;
-    long count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
+    std::vector<Run> runs_;
+    size_t count_ = 0;
+    /** Sorted, merged runs; empty until a percentile query. */
+    mutable std::vector<OrderStat> sorted_;
 };
 
 /** Geometric mean of a vector of positive values (0 if empty). */

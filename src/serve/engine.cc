@@ -191,6 +191,7 @@ ServingEngine::Reset()
     iterations_ = 0;
     total_batch_tokens_ = 0.0;
     finished_ = 0;
+    tbt_.Clear();
     active_begin_ = 0;
     admitted_end_ = 0;
     unadmitted_.clear();
@@ -283,7 +284,7 @@ ServingEngine::ApplyAdmissions(const SchedulingDecision& decision)
 
 double
 ServingEngine::ApplyLifecycleTransitions(
-    const SchedulingDecision& decision, StepResult& result)
+    const SchedulingDecision& decision)
 {
     double swap_bytes = 0.0;
 
@@ -326,7 +327,6 @@ ServingEngine::ApplyLifecycleTransitions(
         --running_;
         ++preempted_now_;
         ++state.preempt_count;
-        ++result.preempted;
         decode_tokens_pending_ -=
             state.request.decode_tokens - state.decoded;
         if (t.mode == PreemptMode::kRecompute) {
@@ -356,12 +356,19 @@ ServingEngine::ApplyLifecycleTransitions(
     // HBM feeding it (in practice PCIe-bound).
     double swap_time = swap_bytes / swap_bandwidth_;
     counters_.swap_time_total += swap_time;
-    result.swap_time = swap_time;
     return swap_time;
 }
 
 void
-ServingEngine::FinishRequest(RequestState& state, StepResult& result)
+ServingEngine::RecordTbt(RequestState& state)
+{
+    const double gap = now_ - state.last_token_time;
+    tbt_.Add(gap);
+    state.max_tbt = std::max(state.max_tbt, gap);
+}
+
+void
+ServingEngine::FinishRequest(RequestState& state)
 {
     if (trace_) {
         trace_->Instant(
@@ -374,7 +381,6 @@ ServingEngine::FinishRequest(RequestState& state, StepResult& result)
     kv_->Release(state.request.id);
     ++finished_;
     --running_;
-    ++result.completed;
 }
 
 StepResult
@@ -388,7 +394,8 @@ ServingEngine::Step()
         scheduler_->Next(now_, states_, *kv_, active_begin_,
                          admitted_end_);
     ApplyAdmissions(decision);
-    double swap_time = ApplyLifecycleTransitions(decision, result);
+    const double swap_time = ApplyLifecycleTransitions(decision);
+    result.swap_time = swap_time;
     const ScheduledBatch& batch = decision.batch;
     if (batch.Empty()) {
         // An empty batch implies no lifecycle activity: admitted and
@@ -455,13 +462,13 @@ ServingEngine::Step()
                 state.first_token_time = now_;
             } else {
                 state.decoded += 1;
-                state.tbt.push_back(now_ - state.last_token_time);
+                RecordTbt(state);
             }
             decode_tokens_pending_ -= 1;
             counters_.decode_tokens_processed += 1;
             state.last_token_time = now_;
             if (state.decoded >= state.request.decode_tokens) {
-                FinishRequest(state, result);
+                FinishRequest(state);
             }
         }
     }
@@ -478,10 +485,10 @@ ServingEngine::Step()
         }
         decode_tokens_pending_ -= 1;
         counters_.decode_tokens_processed += 1;
-        state.tbt.push_back(now_ - state.last_token_time);
+        RecordTbt(state);
         state.last_token_time = now_;
         if (state.decoded >= state.request.decode_tokens) {
-            FinishRequest(state, result);
+            FinishRequest(state);
         }
     }
 
@@ -564,7 +571,8 @@ ServingEngine::Report() const
 {
     POD_CHECK_ARG(Done(), "Report() requires all requests finished");
     MetricsReport report =
-        CollectMetrics(states_, now_, iterations_, total_batch_tokens_);
+        CollectMetrics(states_, tbt_, now_, iterations_,
+                       total_batch_tokens_);
     report.system = scheduler_->Name();
     static_cast<EngineCounters&>(report) = Counters();
     return report;

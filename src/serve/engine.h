@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/telemetry/trace.h"
 #include "core/attention.h"
 #include "gpusim/gpu_spec.h"
@@ -197,12 +198,6 @@ struct StepResult
     /** New tokens processed this iteration. */
     int batch_tokens = 0;
 
-    /** Requests that finished this iteration. */
-    int completed = 0;
-
-    /** Requests preempted this iteration. */
-    int preempted = 0;
-
     /** Swap transfer time included in `duration` (seconds). */
     double swap_time = 0.0;
 
@@ -300,6 +295,15 @@ class ServingEngine
 
     const std::vector<RequestState>& States() const { return states_; }
 
+    /**
+     * Every inter-token gap (TBT sample) since Reset(), in emission
+     * order: iteration by iteration, prefill-completed tokens before
+     * decodes. Requests that also emitted in the previous iteration
+     * share one gap, so the run-length set holds about one run per
+     * iteration rather than one sample per token.
+     */
+    const SampleStats& Tbt() const { return tbt_; }
+
     /** The active KV allocation policy. */
     const KvAllocator& Allocator() const { return *kv_; }
 
@@ -386,11 +390,13 @@ class ServingEngine
      * (O(transitions), the preemption analogue of ApplyAdmissions)
      * and return the swap transfer time these transitions charge.
      */
-    double ApplyLifecycleTransitions(const SchedulingDecision& decision,
-                                     StepResult& result);
+    double ApplyLifecycleTransitions(const SchedulingDecision& decision);
+
+    /** Record one output token's gap since the request's last token. */
+    void RecordTbt(RequestState& state);
 
     /** Transition one request to kFinished and release its KV. */
-    void FinishRequest(RequestState& state, StepResult& result);
+    void FinishRequest(RequestState& state);
 
     /** Advance the arrived-mark past entries with arrival <= now. */
     void SyncArrivals();
@@ -417,6 +423,9 @@ class ServingEngine
     long iterations_ = 0;
     double total_batch_tokens_ = 0.0;
     size_t finished_ = 0;
+
+    /** Inter-token gaps since Reset() (Tbt()). */
+    SampleStats tbt_;
 
     /** KV bytes one token occupies on this GPU (swap sizing). */
     double kv_bytes_per_token_ = 0.0;

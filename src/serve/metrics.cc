@@ -4,18 +4,16 @@
  */
 #include "serve/metrics.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace pod::serve {
 
 MetricsReport
-CollectMetrics(const std::vector<const std::vector<RequestState>*>& replicas,
-               double makespan, long iterations, double total_batch_tokens)
+CollectMetrics(const std::vector<ReplicaRecords>& replicas, double makespan,
+               long iterations, double total_batch_tokens)
 {
     size_t num_states = 0;
-    for (const auto* states : replicas) num_states += states->size();
+    for (const ReplicaRecords& r : replicas) num_states += r.states->size();
 
     MetricsReport report;
     report.num_requests = static_cast<int>(num_states);
@@ -32,8 +30,8 @@ CollectMetrics(const std::vector<const std::vector<RequestState>*>& replicas,
 
     int stalled_200 = 0;
     int stalled_500 = 0;
-    for (const auto* states : replicas) {
-        for (const auto& state : *states) {
+    for (const ReplicaRecords& r : replicas) {
+        for (const auto& state : *r.states) {
             POD_ASSERT(state.Finished());
             report.preemptions += state.preempt_count;
             if (state.preempt_count > 0) ++report.requests_preempted;
@@ -41,14 +39,10 @@ CollectMetrics(const std::vector<const std::vector<RequestState>*>& replicas,
                             state.request.arrival_time);
             report.latency.Add(state.finish_time -
                                state.request.arrival_time);
-            double max_tbt = 0.0;
-            for (double gap : state.tbt) {
-                report.tbt.Add(gap);
-                max_tbt = std::max(max_tbt, gap);
-            }
-            if (max_tbt > 0.2) ++stalled_200;
-            if (max_tbt > 0.5) ++stalled_500;
+            if (state.max_tbt > 0.2) ++stalled_200;
+            if (state.max_tbt > 0.5) ++stalled_500;
         }
+        report.tbt.Append(*r.tbt);
     }
     if (num_states > 0) {
         report.frac_stalled_200ms =
@@ -60,12 +54,12 @@ CollectMetrics(const std::vector<const std::vector<RequestState>*>& replicas,
 }
 
 MetricsReport
-CollectMetrics(const std::vector<RequestState>& states, double makespan,
-               long iterations, double total_batch_tokens)
+CollectMetrics(const std::vector<RequestState>& states,
+               const SampleStats& tbt, double makespan, long iterations,
+               double total_batch_tokens)
 {
-    return CollectMetrics(
-        std::vector<const std::vector<RequestState>*>{&states}, makespan,
-        iterations, total_batch_tokens);
+    return CollectMetrics({ReplicaRecords{&states, &tbt}}, makespan,
+                          iterations, total_batch_tokens);
 }
 
 void

@@ -38,7 +38,10 @@ struct MetricsReport : EngineCounters
     /** Time-to-first-token samples (seconds). */
     SampleStats ttft;
 
-    /** Time-between-tokens samples (seconds), across all requests. */
+    /**
+     * Time-between-tokens samples (seconds), across all requests, in
+     * emission order (replica-major in a fleet report).
+     */
     SampleStats tbt;
 
     /** End-to-end request latency samples (seconds). */
@@ -60,19 +63,27 @@ struct MetricsReport : EngineCounters
     int requests_preempted = 0;
 };
 
-/**
- * Build a report from several replicas' final request states, pooled
- * in the given order (replica-major, then state order) without
- * copying them — the fleet report of a cluster run.
- */
-MetricsReport CollectMetrics(
-    const std::vector<const std::vector<RequestState>*>& replicas,
-    double makespan, long iterations, double total_batch_tokens);
+/** One replica's final request states and its engine's TBT gaps. */
+struct ReplicaRecords
+{
+    const std::vector<RequestState>* states = nullptr;
+    const SampleStats* tbt = nullptr;
+};
 
-/** Build a report from one engine's final request states. */
-MetricsReport CollectMetrics(const std::vector<RequestState>& states,
+/**
+ * Build a report from several replicas' records, pooled in the given
+ * order (replica-major; states in state order, TBT runs in emission
+ * order) without copying the states — the fleet report of a cluster
+ * run.
+ */
+MetricsReport CollectMetrics(const std::vector<ReplicaRecords>& replicas,
                              double makespan, long iterations,
                              double total_batch_tokens);
+
+/** Build a report from one engine's final states and TBT gaps. */
+MetricsReport CollectMetrics(const std::vector<RequestState>& states,
+                             const SampleStats& tbt, double makespan,
+                             long iterations, double total_batch_tokens);
 
 /**
  * Publish a report into a metric registry under `prefix` (e.g.

@@ -128,8 +128,11 @@ struct RequestState
 
     double finish_time = -1.0;
 
-    /** Inter-token gaps (TBT samples, seconds). */
-    std::vector<double> tbt;
+    /**
+     * Largest inter-token gap so far (seconds; 0 before the second
+     * token). The gaps themselves live in ServingEngine::Tbt().
+     */
+    double max_tbt = 0.0;
 
     /** Holding KV blocks and schedulable. */
     bool Admitted() const { return phase == Phase::kRunning; }

@@ -25,10 +25,12 @@ ExpectSamplesEqual(const SampleStats& expected, const SampleStats& got,
                    const char* what)
 {
     ASSERT_EQ(expected.Count(), got.Count()) << what;
-    const auto& a = expected.Samples();
-    const auto& b = got.Samples();
+    const auto& a = expected.Runs();
+    const auto& b = got.Runs();
+    ASSERT_EQ(a.size(), b.size()) << what;
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i], b[i]) << what << " sample " << i;
+        EXPECT_EQ(a[i].value, b[i].value) << what << " run " << i;
+        EXPECT_EQ(a[i].count, b[i].count) << what << " run " << i;
     }
 }
 
@@ -106,7 +108,7 @@ ExpectReportsEqual(const ClusterMetricsReport& expected,
 /**
  * Per-request completion records: every replica must hold the same
  * requests in the same submission order with identical lifecycle
- * outcomes and token timings.
+ * outcomes and token timings, and record the same TBT run sequence.
  */
 inline void
 ExpectStatesEqual(const ClusterEngine& expected,
@@ -131,11 +133,10 @@ ExpectStatesEqual(const ClusterEngine& expected,
             EXPECT_EQ(a[i].first_token_time, b[i].first_token_time);
             EXPECT_EQ(a[i].last_token_time, b[i].last_token_time);
             EXPECT_EQ(a[i].finish_time, b[i].finish_time);
-            ASSERT_EQ(a[i].tbt.size(), b[i].tbt.size());
-            for (size_t t = 0; t < a[i].tbt.size(); ++t) {
-                EXPECT_EQ(a[i].tbt[t], b[i].tbt[t]) << "tbt " << t;
-            }
+            EXPECT_EQ(a[i].max_tbt, b[i].max_tbt);
         }
+        ExpectSamplesEqual(expected.Replica(r).Tbt(), got.Replica(r).Tbt(),
+                           "replica tbt");
     }
 }
 

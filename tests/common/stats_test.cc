@@ -1,10 +1,15 @@
 /**
  * @file
- * Unit tests for SampleStats, HistogramStats and GeoMean.
+ * Unit tests for SampleStats and GeoMean.
  */
 #include "common/stats.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <random>
+#include <vector>
 
 namespace pod {
 namespace {
@@ -90,122 +95,202 @@ TEST(SampleStats, SummaryMentionsCount)
     EXPECT_NE(s.Summary().find("n=2"), std::string::npos);
 }
 
-TEST(HistogramStats, EmptyIsZero)
+TEST(SampleStats, MomentsUnchangedByPercentileQueries)
 {
-    HistogramStats h(0.0, 10.0, 5);
-    EXPECT_EQ(h.Count(), 0);
-    EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
-    EXPECT_DOUBLE_EQ(h.Min(), 0.0);
-    EXPECT_DOUBLE_EQ(h.Max(), 0.0);
-    EXPECT_DOUBLE_EQ(h.Percentile(50), 0.0);
+    // Order-sensitive sum: in insertion order the two 1.0s survive
+    // (1e16 + 1 - 1e16 + 1 = 1), in sorted order both are absorbed
+    // (-1e16 + 1 + 1 + 1e16 = 0). Moments must keep insertion order
+    // whatever order statistics were asked for in between.
+    SampleStats s;
+    s.AddAll({1e16, 1.0, -1e16, 1.0});
+    const double sum = s.Sum();
+    const double mean = s.Mean();
+    const double stddev = s.Stddev();
+    EXPECT_EQ(sum, 1.0);
+    EXPECT_EQ(s.Percentile(50), 1.0);
+    EXPECT_EQ(s.Sum(), sum);
+    EXPECT_EQ(s.Mean(), mean);
+    EXPECT_EQ(s.Stddev(), stddev);
 }
 
-TEST(HistogramStats, ExactMomentsBinnedCounts)
+TEST(SampleStats, RepeatedValuesShareOneRun)
 {
-    HistogramStats h(0.0, 10.0, 5);
-    h.Add(1.0);  // bin 0
-    h.Add(3.0);  // bin 1
-    h.Add(3.5);  // bin 1
-    h.Add(9.0);  // bin 4
-    EXPECT_EQ(h.Count(), 4);
-    EXPECT_DOUBLE_EQ(h.Mean(), 4.125);
-    EXPECT_DOUBLE_EQ(h.Min(), 1.0);
-    EXPECT_DOUBLE_EQ(h.Max(), 9.0);
-    EXPECT_DOUBLE_EQ(h.Sum(), 16.5);
-    ASSERT_EQ(h.Bins().size(), 5u);
-    EXPECT_EQ(h.Bins()[0], 1);
-    EXPECT_EQ(h.Bins()[1], 2);
-    EXPECT_EQ(h.Bins()[2], 0);
-    EXPECT_EQ(h.Bins()[4], 1);
-    EXPECT_EQ(h.Underflow(), 0);
-    EXPECT_EQ(h.Overflow(), 0);
+    SampleStats s;
+    s.AddAll({0.5, 0.5, 0.5, 0.25, 0.25, 0.5});
+    ASSERT_EQ(s.Runs().size(), 3u);
+    EXPECT_EQ(s.Runs()[0].value, 0.5);
+    EXPECT_EQ(s.Runs()[0].count, 3u);
+    EXPECT_EQ(s.Runs()[1].value, 0.25);
+    EXPECT_EQ(s.Runs()[1].count, 2u);
+    EXPECT_EQ(s.Runs()[2].count, 1u);
+    EXPECT_EQ(s.Count(), 6u);
+    EXPECT_EQ(s.Percentile(50), 0.5);
+    EXPECT_EQ(s.Min(), 0.25);
 }
 
-TEST(HistogramStats, UnderflowOverflowStillCounted)
+TEST(SampleStats, SignedZerosStayDistinctRuns)
 {
-    HistogramStats h(0.0, 1.0, 4);
-    h.Add(-5.0);
-    h.Add(0.5);
-    h.Add(3.0);
-    EXPECT_EQ(h.Count(), 3);
-    EXPECT_EQ(h.Underflow(), 1);
-    EXPECT_EQ(h.Overflow(), 1);
-    EXPECT_DOUBLE_EQ(h.Min(), -5.0);
-    EXPECT_DOUBLE_EQ(h.Max(), 3.0);
-    // Percentiles clamp to the exact observed range.
-    EXPECT_DOUBLE_EQ(h.Percentile(0), -5.0);
-    EXPECT_DOUBLE_EQ(h.Percentile(100), 3.0);
+    SampleStats s;
+    s.AddAll({0.0, -0.0, -0.0});
+    ASSERT_EQ(s.Runs().size(), 2u);
+    EXPECT_FALSE(std::signbit(s.Runs()[0].value));
+    EXPECT_TRUE(std::signbit(s.Runs()[1].value));
+    EXPECT_EQ(s.Runs()[1].count, 2u);
 }
 
-TEST(HistogramStats, PercentileWithinBinWidth)
+TEST(SampleStats, AppendMatchesCombinedStream)
 {
-    // 1000 uniform samples: every bin-estimated percentile must land
-    // within one bin width of the exact order statistic.
-    HistogramStats h(0.0, 1.0, 100);
-    SampleStats exact;
-    for (int i = 0; i < 1000; ++i) {
-        double v = (i * 7919 % 1000) / 1000.0;
-        h.Add(v);
-        exact.Add(v);
-    }
-    const double bin_width = 1.0 / 100;
-    for (double p : {1.0, 10.0, 50.0, 90.0, 99.0}) {
-        EXPECT_NEAR(h.Percentile(p), exact.Percentile(p), bin_width)
-            << "p=" << p;
-    }
-}
-
-TEST(HistogramStats, BoundaryValuesLandInExpectedBins)
-{
-    HistogramStats h(0.0, 10.0, 5);
-    h.Add(0.0);   // inclusive lower edge -> bin 0
-    h.Add(2.0);   // bin edge -> bin 1
-    h.Add(10.0);  // exclusive upper edge -> overflow
-    EXPECT_EQ(h.Bins()[0], 1);
-    EXPECT_EQ(h.Bins()[1], 1);
-    EXPECT_EQ(h.Overflow(), 1);
-    EXPECT_DOUBLE_EQ(h.BinLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.BinHigh(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.BinLow(4), 8.0);
-}
-
-TEST(HistogramStats, MergeMatchesCombinedStream)
-{
-    HistogramStats a(0.0, 10.0, 10);
-    HistogramStats b(0.0, 10.0, 10);
-    HistogramStats combined(0.0, 10.0, 10);
-    for (int i = 0; i < 50; ++i) {
-        double v = (i * 13 % 100) / 10.0;
-        (i % 2 == 0 ? a : b).Add(v);
+    SampleStats a;
+    SampleStats b;
+    SampleStats combined;
+    for (double v : {1.0, 2.0, 2.0}) {
+        a.Add(v);
         combined.Add(v);
     }
-    a.Merge(b);
-    EXPECT_EQ(a.Count(), combined.Count());
-    EXPECT_DOUBLE_EQ(a.Sum(), combined.Sum());
-    EXPECT_DOUBLE_EQ(a.Min(), combined.Min());
-    EXPECT_DOUBLE_EQ(a.Max(), combined.Max());
-    EXPECT_EQ(a.Bins(), combined.Bins());
-    EXPECT_DOUBLE_EQ(a.Percentile(50), combined.Percentile(50));
+    // b opens with a's last value: the boundary runs merge.
+    for (double v : {2.0, 3.0, 1.0}) {
+        b.Add(v);
+        combined.Add(v);
+    }
+    EXPECT_EQ(a.Median(), 2.0);  // a sorted copy must be invalidated
+    a.Append(b);
+    a.Append(SampleStats{});
+    ASSERT_EQ(a.Runs().size(), combined.Runs().size());
+    for (size_t i = 0; i < a.Runs().size(); ++i) {
+        EXPECT_EQ(a.Runs()[i].value, combined.Runs()[i].value);
+        EXPECT_EQ(a.Runs()[i].count, combined.Runs()[i].count);
+    }
+    EXPECT_EQ(a.Count(), 6u);
+    EXPECT_EQ(a.Sum(), combined.Sum());
+    EXPECT_EQ(a.Percentile(90), combined.Percentile(90));
+    EXPECT_EQ(a.Max(), 3.0);
 }
 
-TEST(HistogramStats, ClearKeepsGeometry)
+/** Today's formulas over a plain sample vector. */
+struct VectorReference
 {
-    HistogramStats h(0.0, 4.0, 4);
-    h.Add(1.0);
-    h.Add(9.0);
-    h.Clear();
-    EXPECT_EQ(h.Count(), 0);
-    EXPECT_EQ(h.Overflow(), 0);
-    h.Add(3.5);
-    EXPECT_EQ(h.Bins()[3], 1);
+    std::vector<double> samples;
+
+    double
+    Sum() const
+    {
+        double total = 0.0;
+        for (double s : samples) total += s;
+        return total;
+    }
+
+    double
+    Mean() const
+    {
+        return samples.empty() ? 0.0
+                               : Sum() / static_cast<double>(samples.size());
+    }
+
+    double
+    Stddev() const
+    {
+        if (samples.size() < 2) return 0.0;
+        double mean = Mean();
+        double acc = 0.0;
+        for (double s : samples) acc += (s - mean) * (s - mean);
+        return std::sqrt(acc / static_cast<double>(samples.size()));
+    }
+
+    double
+    Min() const
+    {
+        return samples.empty()
+                   ? 0.0
+                   : *std::min_element(samples.begin(), samples.end());
+    }
+
+    double
+    Max() const
+    {
+        return samples.empty()
+                   ? 0.0
+                   : *std::max_element(samples.begin(), samples.end());
+    }
+
+    double
+    Percentile(double p) const
+    {
+        if (samples.empty()) return 0.0;
+        std::vector<double> sorted = samples;
+        std::sort(sorted.begin(), sorted.end());
+        if (sorted.size() == 1) return sorted[0];
+        double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
+        size_t lo = static_cast<size_t>(rank);
+        size_t hi = std::min(lo + 1, sorted.size() - 1);
+        double frac = rank - static_cast<double>(lo);
+        return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    }
+
+    double
+    FractionAbove(double threshold) const
+    {
+        if (samples.empty()) return 0.0;
+        size_t n = 0;
+        for (double s : samples) {
+            if (s > threshold) ++n;
+        }
+        return static_cast<double>(n) / static_cast<double>(samples.size());
+    }
+};
+
+void
+ExpectMatchesReference(const SampleStats& s, const VectorReference& ref,
+                       const std::vector<double>& pool)
+{
+    ASSERT_EQ(s.Count(), ref.samples.size());
+    EXPECT_EQ(s.Min(), ref.Min());
+    EXPECT_EQ(s.Max(), ref.Max());
+    EXPECT_EQ(s.Sum(), ref.Sum());
+    EXPECT_EQ(s.Mean(), ref.Mean());
+    EXPECT_EQ(s.Stddev(), ref.Stddev());
+    for (double p = 0.0; p <= 100.0; p += 2.5) {
+        EXPECT_EQ(s.Percentile(p), ref.Percentile(p)) << "p" << p;
+    }
+    for (double p : {33.3, 50.0, 90.0, 99.0, 99.9}) {
+        EXPECT_EQ(s.Percentile(p), ref.Percentile(p)) << "p" << p;
+    }
+    for (double t : pool) {
+        EXPECT_EQ(s.FractionAbove(t), ref.FractionAbove(t));
+    }
 }
 
-TEST(HistogramStats, SummaryMentionsCount)
+TEST(SampleStats, RandomizedRunsMatchPlainVectorBitForBit)
 {
-    HistogramStats h(0.0, 1.0, 2);
-    h.Add(0.25);
-    h.Add(0.75);
-    EXPECT_NE(h.Summary().find("n=2"), std::string::npos);
+    std::mt19937_64 gen(20251017);
+    for (int trial = 0; trial < 40; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "trial " << trial);
+        // A small pool of awkward doubles, so runs repeat and
+        // interleave (a, a, b, a, ...) like per-iteration TBT gaps.
+        std::uniform_real_distribution<double> value(1e-4, 0.3);
+        std::vector<double> pool(1 + gen() % 6);
+        for (double& v : pool) v = value(gen);
+        SampleStats s;
+        VectorReference ref;
+        const int runs = static_cast<int>(gen() % 200);
+        for (int r = 0; r < runs; ++r) {
+            // One in four runs is a fresh value, never repeated.
+            double v = gen() % 4 == 0 ? value(gen)
+                                      : pool[gen() % pool.size()];
+            const int len = 1 + static_cast<int>(gen() % 50);
+            for (int i = 0; i < len; ++i) {
+                s.Add(v);
+                ref.samples.push_back(v);
+            }
+            // Query mid-stream: order statistics must not disturb the
+            // insertion-order moments or miss later samples.
+            if (gen() % 16 == 0) {
+                EXPECT_EQ(s.Percentile(50), ref.Percentile(50));
+                EXPECT_EQ(s.Mean(), ref.Mean());
+            }
+        }
+        EXPECT_LE(s.Runs().size(), static_cast<size_t>(runs));
+        ExpectMatchesReference(s, ref, pool);
+    }
 }
 
 TEST(GeoMean, Basics)

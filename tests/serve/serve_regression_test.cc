@@ -57,6 +57,25 @@ TEST(ServeRegressionTest, SarathiPodRunIsBitIdenticalToGolden)
     EXPECT_EQ(engine.AttnCacheSize(), 114u);
 }
 
+TEST(ServeRegressionTest, LatencyMeanSurvivesPercentileQueries)
+{
+    // Moments sum in insertion order whatever order statistics were
+    // queried first: the golden mean must read the same after a
+    // percentile as before it.
+    ServingConfig config;
+    config.backend = core::Backend::kPod;
+    config.attn_options.sim.core = gpusim::EngineCore::kExactOracle;
+    ServingEngine engine(config, std::make_unique<SarathiScheduler>(512));
+    MetricsReport m = engine.Run(golden::ServeTrace());
+
+    EXPECT_EQ(m.latency.Mean(), 0x1.577aa6d3c7625p+2);
+    EXPECT_GT(m.latency.Percentile(50), 0.0);
+    EXPECT_EQ(m.latency.Mean(), 0x1.577aa6d3c7625p+2);
+    const double tbt_mean = m.tbt.Mean();
+    EXPECT_GT(m.tbt.Percentile(99), 0.0);
+    EXPECT_EQ(m.tbt.Mean(), tbt_mean);
+}
+
 TEST(ServeRegressionTest, VllmFaSerialRunIsBitIdenticalToGolden)
 {
     ServingConfig config;

@@ -420,13 +420,39 @@ TEST(ServingEngineTest, StepLoopBitIdenticalToRun)
     EXPECT_EQ(run_report.iterations, step_report.iterations);
     EXPECT_EQ(run_report.mean_batch_tokens, step_report.mean_batch_tokens);
     ASSERT_EQ(run_report.ttft.Count(), step_report.ttft.Count());
-    for (size_t i = 0; i < run_report.ttft.Samples().size(); ++i) {
-        EXPECT_EQ(run_report.ttft.Samples()[i],
-                  step_report.ttft.Samples()[i]);
+    const auto& run_ttft = run_report.ttft.Runs();
+    const auto& step_ttft = step_report.ttft.Runs();
+    ASSERT_EQ(run_ttft.size(), step_ttft.size());
+    for (size_t i = 0; i < run_ttft.size(); ++i) {
+        EXPECT_EQ(run_ttft[i].value, step_ttft[i].value);
+        EXPECT_EQ(run_ttft[i].count, step_ttft[i].count);
     }
     ASSERT_EQ(run_report.tbt.Count(), step_report.tbt.Count());
     EXPECT_EQ(run_report.tbt.Sum(), step_report.tbt.Sum());
     EXPECT_EQ(run_report.latency.Sum(), step_report.latency.Sum());
+}
+
+TEST(ServingEngineTest, TbtRunsBoundedByIterations)
+{
+    // Sarathi schedules every running decode each iteration, so all
+    // decodes of an iteration share one gap: without preemption the
+    // run-length TBT set holds at most one run per iteration, and
+    // every output token after a request's first is one sample.
+    Rng rng(7);
+    auto trace = GenerateTrace(WorkloadSpec::Internal(), 24, 2.0, rng);
+    ServingEngine engine(SmallConfig(core::Backend::kPod),
+                         std::make_unique<SarathiScheduler>(512));
+    MetricsReport report = engine.Run(trace);
+    ASSERT_EQ(report.preemptions, 0);
+
+    long decoded = 0;
+    for (const Request& r : trace) decoded += r.decode_tokens;
+    EXPECT_EQ(static_cast<long>(report.tbt.Count()),
+              decoded - static_cast<long>(trace.size()));
+    EXPECT_LE(static_cast<long>(engine.Tbt().Runs().size()),
+              engine.Iterations());
+    EXPECT_LT(engine.Tbt().Runs().size(), report.tbt.Count());
+    EXPECT_EQ(report.tbt.Runs().size(), engine.Tbt().Runs().size());
 }
 
 TEST(ServingEngineTest, SnapshotTracksQueueAndKv)
@@ -475,7 +501,9 @@ TEST(MetricsTest, ZeroRequestRunIsFiniteZeros)
 {
     // An idle replica in a cluster produces an empty report; nothing
     // may divide by zero or emit NaN.
-    MetricsReport report = CollectMetrics(std::vector<RequestState>{}, 0.0, 0, 0.0);
+    MetricsReport report =
+        CollectMetrics(std::vector<RequestState>{}, SampleStats{}, 0.0, 0,
+                       0.0);
     EXPECT_EQ(report.num_requests, 0);
     EXPECT_EQ(report.requests_per_minute, 0.0);
     EXPECT_EQ(report.mean_batch_tokens, 0.0);
@@ -497,7 +525,8 @@ TEST(MetricsTest, SingleRequestRunIsFinite)
     states[0].first_token_time = 0.5;
     states[0].last_token_time = 0.5;
     states[0].finish_time = 0.5;
-    MetricsReport report = CollectMetrics(states, 0.5, 3, 101.0);
+    MetricsReport report =
+        CollectMetrics(states, SampleStats{}, 0.5, 3, 101.0);
     EXPECT_EQ(report.num_requests, 1);
     EXPECT_TRUE(std::isfinite(report.requests_per_minute));
     EXPECT_GT(report.requests_per_minute, 0.0);
