@@ -136,7 +136,12 @@ ClusterMetricsReport
 ClusterEngine::Run(std::vector<serve::Request> requests)
 {
     POD_CHECK_ARG(!requests.empty(), "need at least one request");
-    std::sort(requests.begin(), requests.end(), serve::ArrivalOrder);
+    // ArrivalOrder is total (ties by id), so skipping the sort of an
+    // already-sorted trace changes nothing.
+    if (!std::is_sorted(requests.begin(), requests.end(),
+                        serve::ArrivalOrder)) {
+        std::sort(requests.begin(), requests.end(), serve::ArrivalOrder);
+    }
 
     const size_t num_replicas = replicas_.size();
     for (auto& replica : replicas_) replica.Reset();
@@ -150,12 +155,25 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
     const double run_start = prof ? telemetry::WallSeconds() : 0.0;
 
     std::vector<ReplicaAccum> accum(num_replicas);
+    // A snapshot and a next-event time are functions of their
+    // engine's state alone, which only Step() and Submit() change, so
+    // both are kept across arrivals and re-taken only after their
+    // replica advanced or took a Submit().
     std::vector<serve::ReplicaSnapshot> snapshots(num_replicas);
+    std::vector<double> next_event(num_replicas);
+    const auto refresh = [&](size_t r) {
+        snapshots[r] = replicas_[r].Snapshot();
+        snapshots[r].replica_id = static_cast<int>(r);
+        next_event[r] = replicas_[r].NextEventTime();
+    };
+    for (size_t r = 0; r < num_replicas; ++r) refresh(r);
     size_t next_arrival = 0;
 
-    // Per-event probes are O(1) per replica (PR 3), so the serial
-    // phases cost O(R) per arrival; all Step() work — the actual
-    // simulation cost — happens inside the parallel-advance phase.
+    // Per-event probes are O(1) per replica (PR 3) and only changed
+    // replicas are probed, so the serial phases cost O(changed
+    // replicas) per arrival plus an O(R) scan of cached times; all
+    // Step() work — the actual simulation cost — happens inside the
+    // parallel-advance phase.
     while (true) {
         // ---- Phase 1: plan arrivals (the time horizon). ----
         const double horizon = next_arrival < requests.size()
@@ -163,15 +181,14 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                                    : kInf;
 
         // ---- Phase 2: parallel advance to the horizon. ----
-        // Cheap serial pre-scan: most arrivals land with no replica
-        // event before them (e.g. offline traces queue everything at
-        // t=0), and skipping the pool round keeps routing-bound
-        // phases at O(R) instead of a barrier per request.
+        // Cheap serial pre-scan of the cached next-event times: most
+        // arrivals land with no replica event before them (e.g.
+        // offline traces queue everything at t=0), and skipping the
+        // pool round keeps routing-bound phases free of a barrier per
+        // request.
         advance_order_.clear();
         for (size_t r = 0; r < num_replicas; ++r) {
-            if (replicas_[r].NextEventTime() < horizon) {
-                advance_order_.push_back(r);
-            }
+            if (next_event[r] < horizon) advance_order_.push_back(r);
         }
         if (!advance_order_.empty()) {
             const double t0 = prof ? telemetry::WallSeconds() : 0.0;
@@ -206,10 +223,7 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
         if (next_arrival >= requests.size()) break;  // fleet drained
         const double route_start = prof ? telemetry::WallSeconds() : 0.0;
         const serve::Request& request = requests[next_arrival];
-        for (size_t r = 0; r < num_replicas; ++r) {
-            snapshots[r] = replicas_[r].Snapshot();
-            snapshots[r].replica_id = static_cast<int>(r);
-        }
+        for (size_t r : advance_order_) refresh(r);
         int pick = router_->Route(request, snapshots);
         POD_CHECK_ARG(pick >= 0 &&
                           pick < static_cast<int>(num_replicas),
@@ -223,6 +237,7 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                                   request.id, pick);
         }
         replicas_[static_cast<size_t>(pick)].Submit(request);
+        refresh(static_cast<size_t>(pick));
         if (prof) profile_.route.Accumulate(route_start);
         ++next_arrival;
     }

@@ -192,7 +192,6 @@ ServingEngine::Reset()
     total_batch_tokens_ = 0.0;
     finished_ = 0;
     tbt_.Clear();
-    active_begin_ = 0;
     admitted_end_ = 0;
     unadmitted_.clear();
     unadmitted_head_ = 0;
@@ -390,9 +389,10 @@ ServingEngine::Step()
     StepResult result;
     result.start = now_;
 
+    // active_begin = 0 is always valid; the schedulers keep their own
+    // queues and read it only on the reset admitted_end_ == 0 signals.
     SchedulingDecision decision =
-        scheduler_->Next(now_, states_, *kv_, active_begin_,
-                         admitted_end_);
+        scheduler_->Next(now_, states_, *kv_, 0, admitted_end_);
     ApplyAdmissions(decision);
     const double swap_time = ApplyLifecycleTransitions(decision);
     result.swap_time = swap_time;
@@ -492,16 +492,10 @@ ServingEngine::Step()
         }
     }
 
-    // Maintain the finished-prefix index and the arrived mark.
-    while (active_begin_ < states_.size() &&
-           states_[active_begin_].Finished()) {
-        ++active_begin_;
-    }
     SyncArrivals();
 
     result.progressed = true;
     result.duration = dt;
-    result.batch_tokens = batch.TotalTokens();
     result.kv_utilization = kv_->Utilization();
     return result;
 }
@@ -582,7 +576,11 @@ MetricsReport
 ServingEngine::Run(std::vector<Request> requests)
 {
     POD_CHECK_ARG(!requests.empty(), "need at least one request");
-    std::sort(requests.begin(), requests.end(), ArrivalOrder);
+    // ArrivalOrder is total (ties by id), so skipping the sort of an
+    // already-sorted trace changes nothing.
+    if (!std::is_sorted(requests.begin(), requests.end(), ArrivalOrder)) {
+        std::sort(requests.begin(), requests.end(), ArrivalOrder);
+    }
 
     Reset();
     for (const Request& request : requests) Submit(request);

@@ -21,10 +21,10 @@
  *
  * Queue and KV occupancy are tracked incrementally (PR 3): running
  * counters maintained at Submit/admission/preemption/progress
- * transitions plus a finished-prefix index over the request states
- * make Snapshot() and NextEventTime() O(1) and keep each scheduling
- * pass O(active requests), so cost scales with in-flight work rather
- * than trace length (docs/DESIGN.md S8).
+ * transitions make Snapshot() and NextEventTime() O(1), and the
+ * scheduler's own queues keep each scheduling pass O(scheduled
+ * requests), so cost scales with in-flight work rather than trace
+ * length (docs/DESIGN.md S8).
  */
 #ifndef POD_SERVE_ENGINE_H
 #define POD_SERVE_ENGINE_H
@@ -194,9 +194,6 @@ struct StepResult
 
     /** Iteration latency (0 for an idle jump). */
     double duration = 0.0;
-
-    /** New tokens processed this iteration. */
-    int batch_tokens = 0;
 
     /** Swap transfer time included in `duration` (seconds). */
     double swap_time = 0.0;
@@ -434,11 +431,9 @@ class ServingEngine
     double swap_bandwidth_ = 1.0;
 
     // ---- incremental queue/KV accounting (PR 3) ----
-    /** states_[i] for i < active_begin_ are all finished. */
-    size_t active_begin_ = 0;
-
     /** One past the highest index ever admitted (FCFS watermark);
-     *  bounds the scheduler's batch-building scans. */
+     *  Reset() zeroes it, which tells the scheduler to drop its
+     *  queues (Scheduler::Next). */
     size_t admitted_end_ = 0;
 
     /**

@@ -18,62 +18,120 @@ constexpr int kMaxBatchedTokens = 16384;
 /** Cap on sequences per batch, both policies. */
 constexpr int kMaxNumSeqs = 256;
 
+/** Insert `index` into an ascending queue, keeping it ascending. */
+template <typename Queue>
+void
+InsertSorted(Queue& queue, int index)
+{
+    queue.insert(std::upper_bound(queue.begin(), queue.end(), index),
+                 index);
+}
+
+/** File a running request under the queue its prefill state picks. */
+void
+Enqueue(const std::vector<RequestState>& requests, int index,
+        SchedulerQueues& q)
+{
+    if (requests[static_cast<size_t>(index)].PrefillDone()) {
+        InsertSorted(q.decoding, index);
+    } else {
+        InsertSorted(q.prefilling, index);
+    }
+}
+
+/**
+ * Bring the queues up to date with the caller's progress since the
+ * previous call. `admitted_end == 0` is the caller's reset signal: a
+ * fresh request vector in which nothing has been admitted yet. Only
+ * the prefills chunked last call can have completed since; each one
+ * that did moves to the decoding queue (whose next pass drops it if
+ * its completing token also finished it).
+ */
+void
+SyncQueues(const std::vector<RequestState>& requests,
+           size_t active_begin, size_t admitted_end, SchedulerQueues& q)
+{
+    if (admitted_end == 0) {
+        q.decoding.clear();
+        q.prefilling.clear();
+        q.preempted.clear();
+        q.head = active_begin;
+        q.chunked = 0;
+        return;
+    }
+    const auto chunked_end =
+        q.prefilling.begin() + static_cast<long>(q.chunked);
+    const auto done = [&](int i) {
+        return requests[static_cast<size_t>(i)].PrefillDone();
+    };
+    for (auto it = q.prefilling.begin(); it != chunked_end; ++it) {
+        if (done(*it)) InsertSorted(q.decoding, *it);
+    }
+    q.prefilling.erase(
+        std::remove_if(q.prefilling.begin(), chunked_end, done),
+        chunked_end);
+    q.chunked = 0;
+}
+
 /**
  * Admission and re-admission, FCFS with head-of-line blocking.
  *
- * One scan in index (= arrival) order over unfinished, non-running
- * requests. Because admission is strictly FCFS, every ever-admitted
- * (hence every preempted) request precedes every never-admitted one,
- * so the scan naturally restores preempted requests before admitting
- * new arrivals — vLLM's rule that waiting requests stay blocked
- * while preempted work exists. Admission stops at the first request
- * the allocator rejects (head-of-line blocking preserved, exactly
- * the pre-redesign AdmitFcfs behaviour under the conservative
- * policy).
+ * Every preempted request was admitted before every never-admitted
+ * one, so preempted requests are restored first, in index order, and
+ * a restore the allocator rejects blocks all admissions too — vLLM's
+ * rule that waiting requests stay blocked while preempted work
+ * exists. Admission then starts at the FCFS queue head and stops at
+ * the first future arrival or the first request the allocator
+ * rejects (head-of-line blocking).
  */
 void
 PlanAdmissions(double now, std::vector<RequestState>& requests,
-               KvAllocator& kv, size_t active_begin,
-               size_t& admitted_end, SchedulingDecision& decision)
+               KvAllocator& kv, size_t& admitted_end, SchedulerQueues& q,
+               SchedulingDecision& decision)
 {
-    for (size_t i = active_begin; i < requests.size(); ++i) {
-        RequestState& state = requests[i];
-        if (state.Finished() || state.Admitted()) continue;
-        if (state.Preempted()) {
-            PreemptMode mode = state.phase == Phase::kPreemptedSwapped
-                                   ? PreemptMode::kSwap
-                                   : PreemptMode::kRecompute;
-            if (!kv.TryAdmit(state)) break;
-            state.phase = Phase::kRunning;
-            // A prefix hit credits cached prompt tokens as already
-            // prefilled; the engine folds the same figure out of its
-            // pending-work counters via the recorded transition.
-            int cached = kv.LastAdmitCachedTokens();
-            if (cached > 0) state.prefilled = cached;
-            decision.restores.push_back(SchedulingDecision::Transition{
-                static_cast<int>(i), mode, kv.Held(state.request.id),
-                cached});
-            continue;
-        }
+    size_t restored = 0;
+    for (; restored < q.preempted.size(); ++restored) {
+        const int i = q.preempted[restored];
+        RequestState& state = requests[static_cast<size_t>(i)];
+        PreemptMode mode = state.phase == Phase::kPreemptedSwapped
+                               ? PreemptMode::kSwap
+                               : PreemptMode::kRecompute;
+        if (!kv.TryAdmit(state)) break;
+        state.phase = Phase::kRunning;
+        // A prefix hit credits cached prompt tokens as already
+        // prefilled; the engine folds the same figure out of its
+        // pending-work counters via the recorded transition.
+        int cached = kv.LastAdmitCachedTokens();
+        if (cached > 0) state.prefilled = cached;
+        decision.restores.push_back(SchedulingDecision::Transition{
+            i, mode, kv.Held(state.request.id), cached});
+        Enqueue(requests, i, q);
+    }
+    const bool blocked = restored < q.preempted.size();
+    q.preempted.erase(q.preempted.begin(),
+                      q.preempted.begin() + static_cast<long>(restored));
+    if (blocked) return;
+
+    for (; q.head < requests.size(); ++q.head) {
+        RequestState& state = requests[q.head];
         if (state.request.arrival_time > now) break;  // sorted by arrival
         kv.CheckFits(state);
         if (!kv.TryAdmit(state)) break;
         state.phase = Phase::kRunning;
         int cached = kv.LastAdmitCachedTokens();
         if (cached > 0) state.prefilled = cached;
-        decision.admissions.push_back(SchedulingDecision::Admission{
-            static_cast<int>(i), cached});
-        admitted_end = std::max(admitted_end, i + 1);
+        const int i = static_cast<int>(q.head);
+        decision.admissions.push_back(
+            SchedulingDecision::Admission{i, cached});
+        Enqueue(requests, i, q);
+        admitted_end = std::max(admitted_end, q.head + 1);
     }
-    // FCFS invariant: everything at or past the watermark was never
-    // admitted, so batch-building scans stop there.
-    admitted_end = std::min(admitted_end, requests.size());
 }
 
 /** Evict one running request and record the transition. */
 void
 Preempt(std::vector<RequestState>& requests, int req_index,
-        KvAllocator& kv, SchedulingDecision& decision)
+        KvAllocator& kv, SchedulerQueues& q, SchedulingDecision& decision)
 {
     RequestState& state = requests[static_cast<size_t>(req_index)];
     PreemptMode mode = kv.preempt_mode();
@@ -82,6 +140,7 @@ Preempt(std::vector<RequestState>& requests, int req_index,
                                              : Phase::kPreemptedRecompute;
     decision.preemptions.push_back(
         SchedulingDecision::Transition{req_index, mode, blocks});
+    InsertSorted(q.preempted, req_index);
 }
 
 /**
@@ -99,25 +158,29 @@ Preempt(std::vector<RequestState>& requests, int req_index,
  */
 void
 ScheduleDecodes(std::vector<RequestState>& requests, KvAllocator& kv,
-                size_t active_begin, size_t admitted_end,
-                SchedulingDecision& decision)
+                SchedulerQueues& q, SchedulingDecision& decision)
 {
-    std::vector<int> running;
-    for (size_t i = active_begin; i < admitted_end; ++i) {
-        if (requests[i].Admitted() && requests[i].DecodePending()) {
-            running.push_back(static_cast<int>(i));
-        }
-    }
+    const auto state_of = [&](int i) -> const RequestState& {
+        return requests[static_cast<size_t>(i)];
+    };
+    // Drop the requests that finished since the last pass.
+    std::vector<int>& running = q.decoding;
+    running.erase(std::remove_if(running.begin(), running.end(),
+                                 [&](int i) {
+                                     return !state_of(i).Admitted() ||
+                                            !state_of(i).DecodePending();
+                                 }),
+                  running.end());
     size_t lo = 0;
     size_t hi = running.size();  // victims pop from the back of [lo, hi)
     while (lo < hi) {
         RequestState& state = requests[static_cast<size_t>(running[lo])];
         while (!kv.CanAppend(state) && hi - lo > 1) {
             --hi;
-            Preempt(requests, running[hi], kv, decision);
+            Preempt(requests, running[hi], kv, q, decision);
         }
         if (!kv.CanAppend(state)) {
-            Preempt(requests, running[lo], kv, decision);
+            Preempt(requests, running[lo], kv, q, decision);
             ++lo;
             continue;
         }
@@ -129,6 +192,14 @@ ScheduleDecodes(std::vector<RequestState>& requests, KvAllocator& kv,
             break;
         }
     }
+    // Victims left for the preempted queue.
+    if (!decision.preemptions.empty()) {
+        running.erase(std::remove_if(running.begin(), running.end(),
+                                     [&](int i) {
+                                         return state_of(i).Preempted();
+                                     }),
+                      running.end());
+    }
 }
 
 }  // namespace
@@ -138,9 +209,9 @@ VllmScheduler::Next(double now, std::vector<RequestState>& requests,
                     KvAllocator& kv, size_t active_begin,
                     size_t& admitted_end)
 {
+    SyncQueues(requests, active_begin, admitted_end, queues_);
     SchedulingDecision decision;
-    PlanAdmissions(now, requests, kv, active_begin, admitted_end,
-                   decision);
+    PlanAdmissions(now, requests, kv, admitted_end, queues_, decision);
     ScheduledBatch& batch = decision.batch;
 
     // Prefill-prioritizing: if any admitted prompt is unprocessed,
@@ -148,9 +219,8 @@ VllmScheduler::Next(double now, std::vector<RequestState>& requests,
     // Prompt blocks were reserved at admission, so prefill-only
     // iterations never grow the pool and never preempt.
     int tokens = 0;
-    for (size_t i = active_begin; i < admitted_end; ++i) {
-        RequestState& state = requests[i];
-        if (!state.Admitted() || state.PrefillDone()) continue;
+    for (int i : queues_.prefilling) {
+        const RequestState& state = requests[static_cast<size_t>(i)];
         int remaining = state.PrefillTarget() - state.prefilled;
         if (!batch.prefills.empty() &&
             (tokens + remaining > kMaxBatchedTokens ||
@@ -158,14 +228,15 @@ VllmScheduler::Next(double now, std::vector<RequestState>& requests,
             break;
         }
         batch.prefills.push_back(ScheduledBatch::PrefillChunk{
-            static_cast<int>(i), remaining, state.PrefillTarget()});
+            i, remaining, state.PrefillTarget()});
         tokens += remaining;
     }
+    queues_.chunked = batch.prefills.size();
     if (!batch.prefills.empty()) {
         return decision;  // decodes pause: the generation stall (Fig. 2a)
     }
 
-    ScheduleDecodes(requests, kv, active_begin, admitted_end, decision);
+    ScheduleDecodes(requests, kv, queues_, decision);
     return decision;
 }
 
@@ -180,28 +251,29 @@ SarathiScheduler::Next(double now, std::vector<RequestState>& requests,
                        KvAllocator& kv, size_t active_begin,
                        size_t& admitted_end)
 {
+    SyncQueues(requests, active_begin, admitted_end, queues_);
     SchedulingDecision decision;
-    PlanAdmissions(now, requests, kv, active_begin, admitted_end,
-                   decision);
+    PlanAdmissions(now, requests, kv, admitted_end, queues_, decision);
     ScheduledBatch& batch = decision.batch;
 
     // All running decodes join every iteration: stall-free batching.
-    ScheduleDecodes(requests, kv, active_begin, admitted_end, decision);
+    ScheduleDecodes(requests, kv, queues_, decision);
 
     // Prefill chunks fill the remaining token budget (paper S2.1).
     // Chunks draw on blocks reserved at admission, so they never
     // allocate — a decode-evicted victim cannot be re-hit here.
     int budget =
         std::max(0, token_budget_ - static_cast<int>(batch.decodes.size()));
-    for (size_t i = active_begin; i < admitted_end && budget > 0; ++i) {
-        RequestState& state = requests[i];
-        if (!state.Admitted() || state.PrefillDone()) continue;
+    for (int i : queues_.prefilling) {
+        if (budget <= 0) break;
+        const RequestState& state = requests[static_cast<size_t>(i)];
         int remaining = state.PrefillTarget() - state.prefilled;
         int chunk = std::min(budget, remaining);
         batch.prefills.push_back(ScheduledBatch::PrefillChunk{
-            static_cast<int>(i), chunk, state.prefilled + chunk});
+            i, chunk, state.prefilled + chunk});
         budget -= chunk;
     }
+    queues_.chunked = batch.prefills.size();
     return decision;
 }
 

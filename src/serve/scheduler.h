@@ -19,10 +19,16 @@
  * restores, and ordered preemptions. The scheduler mutates only
  * phases and the allocator; the engine applies the progress, counter
  * and timing consequences (docs/DESIGN.md S2).
+ *
+ * Both schedulers keep their request queues across calls
+ * (SchedulerQueues), as vLLM and Sarathi-Serve keep waiting /
+ * running / swapped queues, so a call visits only the requests it
+ * schedules or transitions instead of rescanning every admitted one.
  */
 #ifndef POD_SERVE_SCHEDULER_H
 #define POD_SERVE_SCHEDULER_H
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,27 +133,29 @@ class Scheduler
      * structurally (an admitted or restored request always
      * contributes prefill or decode work to the batch).
      *
+     * The in-tree schedulers keep their queues across calls and rely
+     * on the caller mutating `requests` only as the engine does:
+     * appending arrivals in arrival order, applying the batch's
+     * progress, finishing requests and resetting recompute victims.
+     *
      * @param now current time (requests with arrival_time > now are
      *        invisible).
      * @param requests all request states (the scheduler moves
      *        phases; the engine applies everything else).
      * @param kv allocation policy for admission control, incremental
      *        growth and eviction.
-     * @param active_begin first index that may be unfinished: every
-     *        request before it has finished, so scans start there and
-     *        stay O(active) on long traces (docs/DESIGN.md S8). Pass
-     *        0 to scan everything (no default: default arguments on
+     * @param active_begin first index that may be unfinished (every
+     *        request before it has finished); 0 is always valid. The
+     *        in-tree schedulers read it only on a reset, to place
+     *        their FCFS queue head. No default: default arguments on
      *        virtuals bind by static type and would silently pin
-     *        overrides to the base value).
+     *        overrides to the base value.
      * @param admitted_end in/out watermark one past the highest index
-     *        ever admitted. Admission is strictly FCFS, so every
-     *        admitted (running or preempted) request sits below it
-     *        and batch-building scans stop there instead of walking
-     *        the full submitted backlog — the difference between
-     *        O(active) and O(trace) per iteration when a long trace
-     *        is queued up front. The scheduler raises it as it
-     *        admits. The caller owns the value across iterations and
-     *        must reset it to 0 with its request vector.
+     *        ever admitted; the scheduler raises it as it admits. The
+     *        caller owns the value across calls and resets it to 0
+     *        with its request vector: 0 tells a queue-keeping
+     *        scheduler that `requests` is a fresh vector and its
+     *        queues must start empty (nothing has been admitted).
      */
     virtual SchedulingDecision Next(double now,
                                     std::vector<RequestState>& requests,
@@ -155,8 +163,10 @@ class Scheduler
                                     size_t& admitted_end) = 0;
 
     /**
-     * Single-shot convenience (tests, exploratory callers): scans
-     * with a throwaway watermark spanning the whole vector.
+     * Single-shot convenience (tests, exploratory callers): passes a
+     * throwaway non-zero watermark, so it never signals a reset. A
+     * fresh scheduler starts from empty queues; repeated calls on one
+     * vector continue from the previous call's queues.
      */
     SchedulingDecision
     Next(double now, std::vector<RequestState>& requests, KvAllocator& kv,
@@ -170,6 +180,38 @@ class Scheduler
     virtual std::string Name() const = 0;
 };
 
+/**
+ * The request queues the in-tree schedulers keep across Next() calls.
+ * Every queue holds request-state indices in ascending (= arrival)
+ * order, which is the order the schedulers serve them in.
+ *
+ * Invariants at the start of a call, once the queues are synced with
+ * the progress the caller applied since the previous call:
+ *  - every index below `head` was admitted at some point; `head` and
+ *    everything past it never was (admission is strictly FCFS);
+ *  - `prefilling` is exactly the running requests whose prompt (or
+ *    recompute context) is not fully prefilled;
+ *  - `decoding` holds every running request whose prompt is done,
+ *    plus requests that finished since the last decode pass (dropped
+ *    when that pass walks them);
+ *  - `preempted` is exactly the evicted requests awaiting restore.
+ */
+struct SchedulerQueues
+{
+    std::vector<int> decoding;
+    std::deque<int> prefilling;
+    std::vector<int> preempted;
+
+    /** First never-admitted request index (the FCFS queue head). */
+    size_t head = 0;
+
+    /**
+     * Leading `prefilling` entries that got a chunk in the previous
+     * call; only they can have completed their prefill since.
+     */
+    size_t chunked = 0;
+};
+
 /** Original vLLM scheduler (prefill-prioritizing, no chunking). */
 class VllmScheduler : public Scheduler
 {
@@ -181,6 +223,9 @@ class VllmScheduler : public Scheduler
                             size_t& admitted_end) override;
 
     std::string Name() const override { return "vLLM"; }
+
+  private:
+    SchedulerQueues queues_;
 };
 
 /** Sarathi-Serve scheduler (chunked prefills, hybrid batching). */
@@ -204,6 +249,7 @@ class SarathiScheduler : public Scheduler
 
   private:
     int token_budget_;
+    SchedulerQueues queues_;
 };
 
 }  // namespace pod::serve

@@ -380,8 +380,9 @@ TEST(ServingEngineTest, StepChargesTheIterationCostModelTotal)
     config.context_bucket = 1;
     ServingEngine engine(config, std::make_unique<SarathiScheduler>(512));
     engine.Submit(Request{0, 0.0, 300, 4, {}, -1, 0});
+    const double tokens_before = engine.TotalBatchTokens();
     const StepResult step = engine.Step();
-    ASSERT_EQ(step.batch_tokens, 300);
+    ASSERT_EQ(engine.TotalBatchTokens() - tokens_before, 300.0);
 
     model::IterationCostModel cost(config.model, config.gpu,
                                    config.tensor_parallel, config.backend,
@@ -478,9 +479,10 @@ TEST(ServingEngineTest, SnapshotTracksQueueAndKv)
     EXPECT_EQ(queued.kv_utilization, 0.0);
     EXPECT_GT(queued.kv_pressure, 0.0);
 
+    const double tokens_before = engine.TotalBatchTokens();
     StepResult first = engine.Step();
     EXPECT_TRUE(first.progressed);
-    EXPECT_EQ(first.batch_tokens, 512);
+    EXPECT_EQ(engine.TotalBatchTokens() - tokens_before, 512.0);
     ReplicaSnapshot running = engine.Snapshot();
     EXPECT_EQ(running.waiting, 0);
     EXPECT_EQ(running.running, 1);
