@@ -106,31 +106,19 @@ MakeResult(Backend backend, const gpusim::SimResult& sim,
     return result;
 }
 
-/** Run the POD backend (full hybrid batch). */
+/**
+ * Run the POD backend (full hybrid batch): one simulation of the
+ * configuration BuildPodKernel resolves. Under kAuto that is
+ * ChooseCtasPerSm's batch-feature rule, as the paper's runtime picks
+ * 2 or 4 CTAs/SM from the batch alone (S4.2.2).
+ */
 AttnRunResult
 RunPod(const HybridBatch& batch, const gpusim::GpuSpec& spec,
        const AttnRunOptions& options)
 {
-    PodOptions pod_options = options.pod;
-    if (pod_options.ctas_per_sm == CtasPerSm::kAuto) {
-        // "POD-Attention automatically picks the most suitable
-        // configuration at runtime" (paper S4.2.2). Simulation makes
-        // trying both configurations free, which also preserves the
-        // never-worse-than-serial property the paper reports; the
-        // pure heuristic remains available via ChooseCtasPerSm and
-        // the forced kTwo/kFour settings.
-        AttnRunOptions two = options;
-        two.pod.ctas_per_sm = CtasPerSm::kTwo;
-        AttnRunOptions four = options;
-        four.pod.ctas_per_sm = CtasPerSm::kFour;
-        AttnRunResult r2 = RunPod(batch, spec, two);
-        AttnRunResult r4 = RunPod(batch, spec, four);
-        return r2.total_time <= r4.total_time ? r2 : r4;
-    }
-
     PodPlan plan;
     gpusim::KernelDesc kernel =
-        BuildPodKernel(batch, spec, pod_options, &plan);
+        BuildPodKernel(batch, spec, options.pod, &plan);
     gpusim::FluidEngine engine(spec, options.sim);
     AttnRunResult result =
         MakeResult(Backend::kPod, engine.RunKernel(kernel), spec,

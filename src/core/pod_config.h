@@ -16,14 +16,14 @@ enum class SchedPolicy : int {
 /**
  * Concurrent CTAs per SM (paper S4.2.2).
  *
- * kAuto is not a heuristic: RunAttention's POD backend simulates both
- * 2 and 4 CTAs/SM and keeps the faster. Only a direct BuildPodKernel
- * call with kAuto falls back to ChooseCtasPerSm's prefill-vs-decode
- * estimate, which picks the simulated winner on too few batches to
- * replace the second simulation (docs/EXPERIMENTS.md).
+ * kAuto picks 2 or 4 from batch features alone (ChooseCtasPerSm) and
+ * simulates only that configuration. The rule is not an oracle: it
+ * names the simulated winner on about 3/4 of serving batches
+ * (docs/EXPERIMENTS.md). kTwo and kFour force one configuration, e.g.
+ * to sweep both as Fig. 13 does.
  */
 enum class CtasPerSm : int {
-    kAuto = 0,  ///< Simulate 2 and 4, keep the faster.
+    kAuto = 0,  ///< ChooseCtasPerSm's batch-feature rule.
     kTwo = 2,   ///< 2 CTAs/SM: large prefill tiles.
     kFour = 4,  ///< 4 CTAs/SM: finer co-location ratios.
 };

@@ -31,6 +31,19 @@ PrefillBaseCtas(const kernels::HybridBatch& batch, const TileConfig& tile)
     return ctas;
 }
 
+/** Prefill KV splits under the split policy (S4.2.4). */
+int
+PrefillSplits(const kernels::HybridBatch& batch, const TileConfig& tile,
+              const gpusim::GpuSpec& spec, const PodOptions& options)
+{
+    int base = PrefillBaseCtas(batch, tile);
+    int max_kv = 0;
+    for (const auto& p : batch.prefills) max_kv = std::max(max_kv, p.kv_len);
+    return options.split_policy == SplitPolicy::kLimited
+               ? kernels::LimitedPrefillSplits(base, max_kv, spec.num_sms)
+               : kernels::VanillaPrefillSplits(base, max_kv, spec.num_sms);
+}
+
 /**
  * Build the persistent-threads variant of the fused kernel (paper
  * S4.4): only enough CTAs to fill the device once; SM-aware tickets
@@ -149,25 +162,48 @@ ChooseCtasPerSm(const kernels::HybridBatch& batch,
     if (options.ctas_per_sm == CtasPerSm::kTwo) return 2;
     if (options.ctas_per_sm == CtasPerSm::kFour) return 4;
 
-    // Heuristic (paper S4.2.2): compare the prefill's tensor-bound
-    // runtime against the decode's bandwidth-bound runtime. Long
-    // contexts make prefill dominate -> larger tiles (2 CTAs/SM);
-    // decode-heavy batches benefit from finer co-location (4).
-    double prefill_flops = 0.0;
-    for (const auto& p : batch.prefills) {
-        // Causal FLOPs of the chunk against its full context.
-        double scores =
-            static_cast<double>(p.chunk_len) * p.QueryOffset() +
-            0.5 * static_cast<double>(p.chunk_len) * p.chunk_len;
-        prefill_flops +=
-            4.0 * scores * batch.shape.head_dim * batch.shape.num_q_heads;
+    // Batch-feature rule (paper S4.2.2), a depth-3 tree fit to the
+    // simulated 2-vs-4 winners (docs/DESIGN.md S4.1). Counts are read
+    // per SM, so one set of thresholds serves every device. The prefill
+    // CTAs are those the 4-CTA launch would have (small tile).
+    const double sms = spec.num_sms;
+    const TileConfig small = kernels::PrefillTileSmall();
+    const double prefill_ctas =
+        static_cast<double>(PrefillBaseCtas(batch, small)) *
+        PrefillSplits(batch, small, spec, options);
+    const double decode_units =
+        static_cast<double>(batch.decode.BatchSize()) *
+        batch.shape.num_kv_heads;
+    const double all_ctas = prefill_ctas + decode_units;
+
+    if (prefill_ctas <= 1.4 * sms) {
+        // Short chunk: the small tile leaves the prefill few KV splits.
+        // If the prefill's tensor-bound runtime rivals the decode's
+        // bandwidth-bound runtime, keep the large tile and its splits.
+        double prefill_flops = 0.0;
+        for (const auto& p : batch.prefills) {
+            // Causal FLOPs of the chunk against its full context.
+            double scores =
+                static_cast<double>(p.chunk_len) * p.QueryOffset() +
+                0.5 * static_cast<double>(p.chunk_len) * p.chunk_len;
+            prefill_flops += 4.0 * scores * batch.shape.head_dim *
+                             batch.shape.num_q_heads;
+        }
+        double decode_bytes =
+            static_cast<double>(batch.decode.TotalContext()) *
+            batch.shape.head_dim * 2.0 * kernels::kElemBytes *
+            batch.shape.num_kv_heads;
+        double prefill_time = prefill_flops / spec.TotalTensorFlops();
+        double decode_time = decode_bytes / spec.hbm_bandwidth;
+        if (prefill_time > 0.73 * decode_time) return 2;
+        return prefill_ctas <= 0.19 * all_ctas ? 2 : 4;
     }
-    double decode_bytes = static_cast<double>(batch.decode.TotalContext()) *
-                          batch.shape.head_dim * 2.0 * kernels::kElemBytes *
-                          batch.shape.num_kv_heads;
-    double prefill_time = prefill_flops / spec.TotalTensorFlops();
-    double decode_time = decode_bytes / spec.hbm_bandwidth;
-    return prefill_time > decode_time ? 2 : 4;
+    // Decode units that dominate the grid keep the device busy at 2
+    // CTAs/SM, where the large prefill tile halves the KV re-reads; a
+    // prefill-heavy grid co-locates better at 4. More decode units per
+    // SM tolerate a larger prefill share.
+    const double max_prefill_share = decode_units <= 6.3 * sms ? 0.29 : 0.41;
+    return prefill_ctas <= max_prefill_share * all_ctas ? 2 : 4;
 }
 
 gpusim::KernelDesc
@@ -188,13 +224,8 @@ BuildPodKernel(const kernels::HybridBatch& batch,
                                               : kernels::PrefillTileSmall();
 
     // ---- prefill side: limited KV splits (S4.2.4) ----
-    int base = PrefillBaseCtas(batch, plan.prefill_tile);
-    int max_kv = 0;
-    for (const auto& p : batch.prefills) max_kv = std::max(max_kv, p.kv_len);
     plan.prefill_splits =
-        options.split_policy == SplitPolicy::kLimited
-            ? kernels::LimitedPrefillSplits(base, max_kv, spec.num_sms)
-            : kernels::VanillaPrefillSplits(base, max_kv, spec.num_sms);
+        PrefillSplits(batch, plan.prefill_tile, spec, options);
 
     GeomOptions prefill_opts;
     prefill_opts.tile = plan.prefill_tile;

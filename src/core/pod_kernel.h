@@ -60,10 +60,11 @@ struct PodPlan
 };
 
 /**
- * Decide the CTAs/SM configuration for a batch (paper S4.2.2):
- * prefill-dominant batches prefer 2 CTAs/SM (larger tiles); decode-
- * dominant batches prefer 4 (finer-grained co-location).
- * Returns 2 or 4. Honors a forced setting in `options`.
+ * Decide the CTAs/SM configuration for a batch (paper S4.2.2) from
+ * batch features and the device alone, in closed form: the prefill
+ * CTAs a 4-CTA launch would have, the decode units, both per SM, and
+ * the prefill-vs-decode runtime estimate. Returns 2 or 4. Honors a
+ * forced setting in `options`; BuildPodKernel resolves kAuto here.
  */
 int ChooseCtasPerSm(const kernels::HybridBatch& batch,
                     const gpusim::GpuSpec& spec, const PodOptions& options);

@@ -9,13 +9,15 @@
  * compute caps drift as memory progresses. This core removes both
  * costs by freezing each unit's rates for the interval between the
  * transitions that touch its SM and integrating progress in closed
- * form (docs/DESIGN.md S5.4 derives the average-rate pacing freeze
- * and why it does not move memory-bound completion times):
+ * form (docs/DESIGN.md S3.2 derives the continuum pacing trajectory
+ * that replaces the oracle's per-event cap refresh):
  *
  *  - Progress is materialized lazily: remaining work is a linear
  *    function of time (compute dims) or of the global memory virtual
- *    time S = integral of global_mem_scale dt (memory dims), so a
- *    unit is only touched when its own SM changes.
+ *    time S = integral of global_mem_scale dt (memory dims), or, for
+ *    a paced compute dim linked to its memory, a power of the
+ *    remaining memory, so a unit is only touched when its own SM
+ *    changes (or the global scale outgrows a link, see pace_tree_).
  *  - Completions come from two indexed SM trees (sm_key_tree.h), one
  *    keyed by real time (compute) and one by S (memory). Keying
  *    memory drains in S makes a change of the global HBM scale O(1):
@@ -46,6 +48,7 @@
 #include "gpusim/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -61,6 +64,29 @@ namespace detail {
 
 namespace {
 
+/**
+ * Relative window within which an event key counts as due. Keys
+ * derived along different arithmetic paths for completions that
+ * coincide in exact arithmetic (identical CTAs on identically loaded
+ * SMs) differ by a few ulps. The oracle retires such units in one
+ * event (its kDoneEps residue test); handling them one by one would
+ * let DispatchAll run in between and place the next CTAs on other
+ * SMs, a discrete divergence that moved whole kernels by up to ~10 %.
+ * A unit a sliver short of its key when handled is re-keyed by its
+ * SM's recompute as a partial drain.
+ */
+constexpr double kTieWindow = 1e-13;
+
+/**
+ * Rise of the global HBM scale, relative to the scale an SM was last
+ * filled at, past which an SM with paced dims frozen in an
+ * oversubscribed dimension is re-derived (see RecomputeDirty). A
+ * tighter band buys little accuracy for many re-derivations: at 0.05
+ * they were about a quarter of all SM recomputes on the serial and
+ * HFuse kernels and slowed those simulations by about 25 %.
+ */
+constexpr double kScaleBand = 0.2;
+
 /** Full analytic-core state; one instance per Run call. */
 class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
 {
@@ -72,7 +98,8 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
                        const std::vector<KernelLaunch>& launches)
         : Base(spec, options, launches),
           comp_tree_(spec_.num_sms),
-          mem_tree_(spec_.num_sms)
+          mem_tree_(spec_.num_sms),
+          pace_tree_(spec_.num_sms)
     {
         size_t num_sms = static_cast<size_t>(spec_.num_sms);
         sm_mem_want_.assign(num_sms, 0.0);
@@ -112,6 +139,9 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         ar_t_.push_back(0.0);
         ar_c_.push_back(0.0);
         ar_mp_.push_back(0.0);
+        link_.push_back(0);
+        lr_t_.push_back(0.0);
+        lr_c_.push_back(0.0);
         cap_t_.push_back(caps.tensor_cap);
         cap_c_.push_back(caps.cuda_cap);
         cap_m_.push_back(caps.mem_base);
@@ -158,7 +188,9 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
     /**
      * Bring the unit's remaining work up to (now_, s_time_) under its
      * frozen rates. Rates of drained dimensions are kept at exactly 0
-     * by RecomputeSmRates, so no liveness gate is needed here.
+     * by RecomputeSmRates, so no liveness gate is needed here. A
+     * memory-linked dim has rate 0 and keeps its work as of the link;
+     * Unlink puts it on its trajectory.
      */
     void
     Materialize(int uid)
@@ -177,6 +209,53 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         }
     }
 
+    /**
+     * Resolve the unit's memory links: put each linked dim on its
+     * trajectory rem_x = x_link * (rem_m / m_link)^kPaceHeadroom (zero
+     * once memory drained) and book the work it served since the link
+     * — served work and its energy are linear in that work, so booking
+     * it here is exact. The unit must be materialized; its rates are
+     * re-derived by the SM recompute that follows.
+     */
+    void
+    Unlink(size_t i)
+    {
+        const uint8_t link = link_[i];
+        if (!link) return;
+        auto& stats = result_.per_op[static_cast<size_t>(unit_op_[i])];
+        if (link & kLinkTensor) {
+            double x = LinkedWork(rem_t_[i], lr_t_[i], rem_m_[i]);
+            double work = rem_t_[i] - x;
+            stats.tensor_flops += work;
+            served_tensor_ += work;
+            energy_ +=
+                spec_.tensor_power_w * work / spec_.TotalTensorFlops();
+            rem_t_[i] = x;
+        }
+        if (link & kLinkCuda) {
+            double x = LinkedWork(rem_c_[i], lr_c_[i], rem_m_[i]);
+            double work = rem_c_[i] - x;
+            stats.cuda_flops += work;
+            served_cuda_ += work;
+            energy_ += spec_.cuda_power_w * work / spec_.TotalCudaFlops();
+            rem_c_[i] = x;
+        }
+        link_[i] = 0;
+    }
+
+    /**
+     * Remaining work, at rem_m, of a dim linked with work x_link and
+     * ratio x_link/m_link = ratio_link.
+     */
+    static double
+    LinkedWork(double x_link, double ratio_link, double rem_m)
+    {
+        return rem_m > kDoneEps
+                   ? x_link * std::pow(rem_m * ratio_link / x_link,
+                                       kPaceHeadroom)
+                   : 0.0;
+    }
+
     /** Drop the unit's contribution to the per-op rate sums. */
     void
     RemoveFromAggregates(int uid)
@@ -189,6 +268,116 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         ar_t_[i] = 0.0;
         ar_c_[i] = 0.0;
         ar_mp_[i] = 0.0;
+    }
+
+    /**
+     * Pacing caps and the demand-aware compute water-fill of one SM,
+     * the same arithmetic the oracle runs. Each unit still streaming
+     * memory wants only the compute rate that keeps pace with it, the
+     * oracle's instantaneous cap kPaceHeadroom*rem_x*r_mem/rem_m. A
+     * memory-linked dim enters with its link bound: along its
+     * trajectory rem_x/rem_m only falls, so kPaceHeadroom*(rem_x/rem_m
+     * at the link)*r_mem bounds its demand. A link whose bound reached
+     * the dim's static cap (the global scale rose), or whose memory
+     * drained inside the completion epsilon, is resolved first.
+     * Returns the link bits still held on the SM.
+     */
+    uint8_t
+    FillSm(const std::vector<int>& list, double g, bool first,
+           double* tensor_sum, double* cuda_sum)
+    {
+        tensor_caps_.clear();
+        cuda_caps_.clear();
+        link_candidates_.clear();
+        double t_sum = 0.0;
+        double c_sum = 0.0;
+        uint8_t links = 0;
+        for (int uid : list) {
+            const size_t i = static_cast<size_t>(uid);
+            if (first) {
+                old_t_[i] = r_t_[i];
+                old_c_[i] = r_c_[i];
+            }
+            r_t_[i] = 0.0;
+            r_c_[i] = 0.0;
+            const double r_mem = r_mp_[i] * g;
+            const bool paced = rem_m_[i] > kDoneEps && r_mem > 0.0;
+            uint8_t link = link_[i];
+            if (link &&
+                (!paced ||
+                 (link & kLinkTensor &&
+                  !(kPaceHeadroom * lr_t_[i] * r_mem < cap_t_[i])) ||
+                 (link & kLinkCuda &&
+                  !(kPaceHeadroom * lr_c_[i] * r_mem < cap_c_[i])))) {
+                Unlink(i);
+                link = 0;
+            }
+            links |= link;
+            if (!paced) {
+                if (rem_t_[i] > kDoneEps) {
+                    tensor_caps_.emplace_back(cap_t_[i], uid);
+                    t_sum += cap_t_[i];
+                }
+                if (rem_c_[i] > kDoneEps) {
+                    cuda_caps_.emplace_back(cap_c_[i], uid);
+                    c_sum += cap_c_[i];
+                }
+                continue;
+            }
+            // Paced: a dim that holds a link or whose pacing cap binds
+            // may ride its memory; LinkSm decides once the SM's
+            // subscription is known.
+            double q = -1.0;  // r_mem / rem_m, divided once if needed
+            bool candidate = link != 0;
+            if (rem_t_[i] > kDoneEps) {
+                double cap = cap_t_[i];
+                if (link & kLinkTensor) {
+                    cap = kPaceHeadroom * lr_t_[i] * r_mem;
+                } else {
+                    q = r_mem / rem_m_[i];
+                    double pace = kPaceHeadroom * rem_t_[i] * q;
+                    if (pace < cap) {
+                        cap = pace;
+                        candidate = true;
+                    }
+                }
+                tensor_caps_.emplace_back(cap, uid);
+                t_sum += cap;
+            }
+            if (rem_c_[i] > kDoneEps) {
+                double cap = cap_c_[i];
+                if (link & kLinkCuda) {
+                    cap = kPaceHeadroom * lr_c_[i] * r_mem;
+                } else {
+                    if (q < 0.0) q = r_mem / rem_m_[i];
+                    double pace = kPaceHeadroom * rem_c_[i] * q;
+                    if (pace < cap) {
+                        cap = pace;
+                        candidate = true;
+                    }
+                }
+                cuda_caps_.emplace_back(cap, uid);
+                c_sum += cap;
+            }
+            if (candidate) link_candidates_.push_back(uid);
+        }
+        if (!tensor_caps_.empty()) {
+            AllocateMaxMin(tensor_caps_, t_sum, spec_.tensor_flops_per_sm,
+                           kUndersubscribedMargin,
+                           [this](int uid, double rate) {
+                               r_t_[static_cast<size_t>(uid)] = rate;
+                           });
+        }
+        if (!cuda_caps_.empty()) {
+            AllocateMaxMin(cuda_caps_, c_sum, spec_.cuda_flops_per_sm,
+                           kUndersubscribedMargin,
+                           [this](int uid, double rate) {
+                               r_c_[static_cast<size_t>(uid)] = rate;
+                           });
+        }
+        *tensor_sum = t_sum;
+        *cuda_sum = c_sum;
+        return links;
     }
 
     /**
@@ -232,6 +421,21 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         global_mem_scale_ = global_want_ > spec_.hbm_bandwidth
                                 ? spec_.hbm_bandwidth / global_want_
                                 : 1.0;
+        // SMs whose memory-linked dims the new scale would push past
+        // their static cap or the SM's capacity: re-derive them too.
+        // Their memory wants do not change, so the scale stays put.
+        while (pace_tree_.MinKey() < global_mem_scale_) {
+            int s = pace_tree_.MinSm();
+            pace_tree_.Set(s, kInf);
+            if (sm_dirty_[static_cast<size_t>(s)]) continue;
+            sm_dirty_[static_cast<size_t>(s)] = 1;
+            dirty_sms_.push_back(s);
+            for (int uid : sms_[static_cast<size_t>(s)].active_units) {
+                Materialize(uid);
+                const size_t i = static_cast<size_t>(uid);
+                old_mp_[i] = r_mp_[i];
+            }
+        }
 
         // Pass B: compute water-fill per dirty SM (needs the new
         // global scale for the pacing caps), then refresh each
@@ -239,64 +443,122 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         for (int s : dirty_sms_) {
             sm_dirty_[static_cast<size_t>(s)] = 0;
             const auto& list = sms_[static_cast<size_t>(s)].active_units;
-            tensor_caps_.clear();
-            cuda_caps_.clear();
+            const double g = global_mem_scale_;
+            // The water-fill, at most twice: a linked dim enters with
+            // its link bound, and if the SM comes out oversubscribed
+            // in a dimension that holds links, every link on the SM is
+            // resolved and the fill reruns on exact demands.
             double tensor_sum = 0.0;
             double cuda_sum = 0.0;
-            for (int uid : list) {
+            bool over_t = false;
+            bool over_c = false;
+            for (bool first = true;; first = false) {
+                const uint8_t links =
+                    FillSm(list, g, first, &tensor_sum, &cuda_sum);
+                over_t = tensor_sum >
+                         spec_.tensor_flops_per_sm * kUndersubscribedMargin;
+                over_c = cuda_sum >
+                         spec_.cuda_flops_per_sm * kUndersubscribedMargin;
+                if (!(over_t && (links & kLinkTensor)) &&
+                    !(over_c && (links & kLinkCuda))) {
+                    break;
+                }
+                for (int uid : list) {
+                    Unlink(static_cast<size_t>(uid));
+                }
+            }
+
+            // Memory links. In a dimension the water-fill left
+            // undersubscribed, a paced dim granted its full pacing cap
+            // (below its static cap) is not frozen in real time: it
+            // rides its memory drain on the oracle's continuum
+            // trajectory rem_x ∝ rem_m^kPaceHeadroom (what re-deriving
+            // the cap at every global event integrates to), so a
+            // change of the global HBM scale carries it along with no
+            // recompute, and it ends exactly with its memory
+            // (docs/DESIGN.md S3.2). Its real-time rate is 0: its work
+            // stays as of the link, and Unlink books what it served. A
+            // kept link costs nothing beyond its bound. Links hold
+            // while the global scale stays below the point where a
+            // bound would reach its static cap or overfill the SM (the
+            // smallest cap/bound, kept as a fraction so no dim pays a
+            // division, and the SM's room); the pace tree re-derives
+            // the SM past it.
+            double min_num = kInf;
+            double min_den = 1.0;
+            double linked_t = 0.0;
+            double linked_c = 0.0;
+            bool frozen = false;
+            for (int uid : link_candidates_) {
                 const size_t i = static_cast<size_t>(uid);
-                old_t_[i] = r_t_[i];
-                old_c_[i] = r_c_[i];
-                r_t_[i] = 0.0;
-                r_c_[i] = 0.0;
-                // Pacing cap, average-rate form. The oracle freezes
-                // the instantaneous cap 1.1*rem_x*r_mem/rem_m and
-                // re-derives it every global event; integrating those
-                // dynamics gives rem_x ~ rem_m^1.1, i.e. a paced dim
-                // completes exactly at the memory horizon, never
-                // before. Freezing the instantaneous cap at OUR event
-                // density would instead drain the dim linearly and
-                // finish it 1/1.1 early, cascading spurious events.
-                // So this core freezes the trajectory's average rate
-                // rem_x*r_mem/rem_m — the unique constant rate that
-                // reproduces the continuum completion time and the
-                // exact served-work total (docs/DESIGN.md S3.2).
-                double r_mem = r_mp_[i] * global_mem_scale_;
-                bool paced = rem_m_[i] > kDoneEps && r_mem > 0.0;
-                if (rem_t_[i] > kDoneEps) {
-                    double cap = cap_t_[i];
-                    if (paced) {
-                        cap = std::min(
-                            cap, rem_t_[i] * r_mem / rem_m_[i]);
+                uint8_t link = link_[i];
+                frozen |= (over_t && rem_t_[i] > kDoneEps) ||
+                          (over_c && rem_c_[i] > kDoneEps);
+                const double r_mem = r_mp_[i] * g;
+                if (!over_t && rem_t_[i] > kDoneEps) {
+                    if (!(link & kLinkTensor) && r_t_[i] < cap_t_[i]) {
+                        link |= kLinkTensor;
+                        lr_t_[i] = rem_t_[i] / rem_m_[i];
                     }
-                    tensor_caps_.emplace_back(cap, uid);
-                    tensor_sum += cap;
+                    if (link & kLinkTensor) {
+                        double bound = kPaceHeadroom * lr_t_[i] * r_mem;
+                        linked_t += bound;
+                        if (cap_t_[i] * min_den < min_num * bound) {
+                            min_num = cap_t_[i];
+                            min_den = bound;
+                        }
+                        r_t_[i] = 0.0;
+                    }
                 }
-                if (rem_c_[i] > kDoneEps) {
-                    double cap = cap_c_[i];
-                    if (paced) {
-                        cap = std::min(
-                            cap, rem_c_[i] * r_mem / rem_m_[i]);
+                if (!over_c && rem_c_[i] > kDoneEps) {
+                    if (!(link & kLinkCuda) && r_c_[i] < cap_c_[i]) {
+                        link |= kLinkCuda;
+                        lr_c_[i] = rem_c_[i] / rem_m_[i];
                     }
-                    cuda_caps_.emplace_back(cap, uid);
-                    cuda_sum += cap;
+                    if (link & kLinkCuda) {
+                        double bound = kPaceHeadroom * lr_c_[i] * r_mem;
+                        linked_c += bound;
+                        if (cap_c_[i] * min_den < min_num * bound) {
+                            min_num = cap_c_[i];
+                            min_den = bound;
+                        }
+                        r_c_[i] = 0.0;
+                    }
+                }
+                link_[i] = link;
+            }
+            // The SM's room scales the links' bounds by at most
+            // (linked + room) / linked. A paced dim left in an
+            // oversubscribed dimension is frozen in real time while
+            // the oracle scales its cap with the global scale; the SM
+            // is re-derived once the scale has risen by kScaleBand. A
+            // fall needs no trigger: such a dim then drains early,
+            // which is an event of its own. All limits stay fractions
+            // until the one division.
+            if (frozen && (1.0 + kScaleBand) * min_den < min_num) {
+                min_num = 1.0 + kScaleBand;
+                min_den = 1.0;
+            }
+            if (linked_t > 0.0) {
+                double num = linked_t + (spec_.tensor_flops_per_sm -
+                                         tensor_sum);
+                if (num * min_den < min_num * linked_t) {
+                    min_num = num;
+                    min_den = linked_t;
                 }
             }
-            if (!tensor_caps_.empty()) {
-                AllocateMaxMin(tensor_caps_, tensor_sum,
-                               spec_.tensor_flops_per_sm,
-                               kUndersubscribedMargin,
-                               [this](int uid, double rate) {
-                                   r_t_[static_cast<size_t>(uid)] = rate;
-                               });
+            if (linked_c > 0.0) {
+                double num =
+                    linked_c + (spec_.cuda_flops_per_sm - cuda_sum);
+                if (num * min_den < min_num * linked_c) {
+                    min_num = num;
+                    min_den = linked_c;
+                }
             }
-            if (!cuda_caps_.empty()) {
-                AllocateMaxMin(cuda_caps_, cuda_sum,
-                               spec_.cuda_flops_per_sm,
-                               kUndersubscribedMargin,
-                               [this](int uid, double rate) {
-                                   r_c_[static_cast<size_t>(uid)] = rate;
-                               });
+            const double g_max =
+                min_num < kInf ? g * min_num / min_den : kInf;
+            if (g_max < kInf || pace_tree_.Key(s) < kInf) {
+                pace_tree_.Set(s, g_max);
             }
 
             double sm_ckey = kInf;
@@ -305,11 +567,11 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
                 const size_t i = static_cast<size_t>(uid);
                 // Rates identical to the previous interval: the
                 // unit's stored keys (derived when those rates were
-                // first frozen) still describe the same linear
-                // trajectory, so keep them instead of re-deriving.
-                // This is exact, not a relaxation — it only skips
-                // work when the water-fill reproduced the same
-                // allocation bit-for-bit.
+                // first frozen) still describe the same trajectory,
+                // so keep them instead of re-deriving. This is exact,
+                // not a relaxation — it only skips work when the
+                // water-fill reproduced the same allocation
+                // bit-for-bit.
                 if (r_t_[i] != old_t_[i] || r_c_[i] != old_c_[i] ||
                     r_mp_[i] != old_mp_[i]) {
                     const size_t op = static_cast<size_t>(unit_op_[i]);
@@ -320,6 +582,8 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
                     ar_c_[i] = r_c_[i];
                     ar_mp_[i] = r_mp_[i];
 
+                    // A linked dim (rate 0) ends with its memory, so
+                    // it adds no compute key.
                     double tkey = kInf;
                     if (rem_t_[i] > kDoneEps && r_t_[i] > 0.0) {
                         tkey = now_ + rem_t_[i] / r_t_[i];
@@ -445,6 +709,7 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         comp_key_[i] = kInf;
         mem_key_[i] = kInf;
         Materialize(uid);
+        if (rem_m_[i] <= kDoneEps) Unlink(i);
         if (rem_t_[i] > kDoneEps || rem_c_[i] > kDoneEps ||
             rem_m_[i] > kDoneEps) {
             // One dimension drained, others remain: the SM's demand
@@ -481,7 +746,7 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
         due_scratch_.clear();
         for (int uid : list) {
             const size_t i = static_cast<size_t>(uid);
-            if (comp_key_[i] <= now_ || mem_key_[i] <= s_time_) {
+            if (comp_key_[i] <= due_t_ || mem_key_[i] <= due_s_) {
                 due_scratch_.push_back(uid);
             }
         }
@@ -495,15 +760,20 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
 
     /**
      * Handle every SM event due at (now, s_time_): all due compute
-     * events first, then memory events, each in (key, sm) order.
+     * events first, then memory events, each in (key, sm) order. Keys
+     * within kTieWindow of now count as due, so completions that
+     * coincide in exact arithmetic are handled in one event, as the
+     * oracle handles them.
      */
     void
     ProcessDueEvents()
     {
+        due_t_ = now_ + now_ * kTieWindow;
+        due_s_ = s_time_ + s_time_ * kTieWindow;
         for (;;) {
-            if (comp_tree_.MinKey() <= now_) {
+            if (comp_tree_.MinKey() <= due_t_) {
                 HandleSmEvent(comp_tree_.MinSm());
-            } else if (mem_tree_.MinKey() <= s_time_) {
+            } else if (mem_tree_.MinKey() <= due_s_) {
                 HandleSmEvent(mem_tree_.MinSm());
             } else {
                 break;
@@ -543,6 +813,15 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
     std::vector<double> ar_t_;
     std::vector<double> ar_c_;
     std::vector<double> ar_mp_;
+    /** Compute dims linked to their memory drain (kLinkTensor,
+     *  kLinkCuda bits; see RecomputeDirty). */
+    static constexpr uint8_t kLinkTensor = 1;
+    static constexpr uint8_t kLinkCuda = 2;
+    std::vector<uint8_t> link_;
+    /** Per linked dim: rem_x/rem_m at the link (rem_x itself keeps
+     *  the work at the link). */
+    std::vector<double> lr_t_;
+    std::vector<double> lr_c_;
     /** Static caps (SoA mirror of UnitCaps). */
     std::vector<double> cap_t_;
     std::vector<double> cap_c_;
@@ -586,11 +865,19 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
     /** Per-SM next compute-drain time and next memory-drain S. */
     SmKeyTree comp_tree_;
     SmKeyTree mem_tree_;
+    /** Per-SM global HBM scale above which a linked dim would outrun
+     *  its static cap or the SM's capacity; crossing it re-derives
+     *  the SM. */
+    SmKeyTree pace_tree_;
 
     // Per-op rate sums for O(op classes) interval accounting.
     std::array<double, kNumOpClasses> sum_rt_ = {};
     std::array<double, kNumOpClasses> sum_rc_ = {};
     std::array<double, kNumOpClasses> sum_mp_ = {};
+
+    /** Due horizons of the event being handled (ProcessDueEvents). */
+    double due_t_ = 0.0;
+    double due_s_ = 0.0;
 
     long recompute_batches_ = 0;
     static constexpr long kResumPeriod = 4096;
@@ -598,6 +885,8 @@ class AnalyticSimulation : public SimulationBase<AnalyticSimulation>
     // Reused per-SM water-fill scratch (cleared, never reallocated).
     std::vector<std::pair<double, int>> tensor_caps_;
     std::vector<std::pair<double, int>> cuda_caps_;
+    /** Residents of the SM being filled that may hold a link. */
+    std::vector<int> link_candidates_;
 };
 
 SimResult

@@ -55,6 +55,13 @@ namespace pod::gpusim::detail {
 /** Work below this many FLOPs/bytes counts as finished. */
 constexpr double kDoneEps = 1e-3;
 
+/**
+ * Headroom of the pacing cap: a compute dim still streaming memory
+ * wants kPaceHeadroom * rem_x * r_mem / rem_m, slightly more than the
+ * rate that keeps exact pace, so it never lags its memory.
+ */
+constexpr double kPaceHeadroom = 1.1;
+
 /** Upper bound on simulation events, guards against engine bugs. */
 constexpr long kMaxEvents = 200'000'000;
 

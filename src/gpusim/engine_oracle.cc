@@ -244,8 +244,8 @@ OracleSimulation::RefreshRates()
             if (h.rem_tensor > kDoneEps) {
                 double cap = c.tensor_cap;
                 if (paced) {
-                    cap = std::min(
-                        cap, 1.1 * h.rem_tensor * r_mem / h.rem_mem);
+                    cap = std::min(cap, kPaceHeadroom * h.rem_tensor *
+                                            r_mem / h.rem_mem);
                 }
                 tensor_caps_.emplace_back(cap, uid);
                 tensor_sum += cap;
@@ -253,8 +253,8 @@ OracleSimulation::RefreshRates()
             if (h.rem_cuda > kDoneEps) {
                 double cap = c.cuda_cap;
                 if (paced) {
-                    cap = std::min(cap,
-                                   1.1 * h.rem_cuda * r_mem / h.rem_mem);
+                    cap = std::min(cap, kPaceHeadroom * h.rem_cuda *
+                                            r_mem / h.rem_mem);
                 }
                 cuda_caps_.emplace_back(cap, uid);
                 cuda_sum += cap;

@@ -57,6 +57,13 @@ class SmKeyTree
         }
     }
 
+    /** The SM's current key. */
+    double
+    Key(int sm) const
+    {
+        return nodes_[static_cast<size_t>(leaves_ + sm)].key;
+    }
+
     /** Smallest key (kNone if every SM is clear). */
     double MinKey() const { return nodes_[1].key; }
 

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "gpusim/engine.h"
+
 namespace pod::core {
 namespace {
 
@@ -95,21 +97,56 @@ TEST(RunAttention, PodReducesEnergy)
     EXPECT_LT(pod.energy_joules, serial.energy_joules);
 }
 
-TEST(RunAttention, ExhaustiveAutotuneAtLeastAsGood)
+TEST(RunAttention, AutoIsOneSimulationOfTheRulesChoice)
 {
-    auto batch =
-        kernels::HybridBatch::Make(Yi6B(), 1024, 8192, 48, 8192);
+    // kAuto resolves to ChooseCtasPerSm's pick and simulates only that
+    // configuration: the result equals the forced run field for field,
+    // sim-core event counts included, and BuildPodKernel resolves kAuto
+    // to the same configuration. Batches cover both picks.
     gpusim::GpuSpec spec = gpusim::GpuSpec::A100Sxm80GB();
-    AttnRunOptions two;
-    two.pod.ctas_per_sm = CtasPerSm::kTwo;
-    AttnRunOptions four;
-    four.pod.ctas_per_sm = CtasPerSm::kFour;
-    AttnRunOptions best;
-    best.pod.ctas_per_sm = CtasPerSm::kAuto;
-    double t2 = RunAttention(Backend::kPod, batch, spec, two).total_time;
-    double t4 = RunAttention(Backend::kPod, batch, spec, four).total_time;
-    double tb = RunAttention(Backend::kPod, batch, spec, best).total_time;
-    EXPECT_LE(tb, std::min(t2, t4) + 1e-12);
+    const kernels::HybridBatch batches[] = {
+        kernels::HybridBatch::Make(Yi6B(), 1024, 8192, 48, 8192),
+        kernels::HybridBatch::Make(Llama3Tp2(), 2048, 4096, 192, 4096),
+        kernels::HybridBatch::Make(Llama3Tp2(), 448, 13312, 7, 12288),
+        kernels::HybridBatch::Make(Llama3Tp2(), 1536, 9216, 24, 11264),
+    };
+    int twos = 0;
+    for (const auto& batch : batches) {
+        int pick = ChooseCtasPerSm(batch, spec, PodOptions());
+        if (pick == 2) ++twos;
+        AttnRunOptions forced;
+        forced.pod.ctas_per_sm = pick == 2 ? CtasPerSm::kTwo
+                                           : CtasPerSm::kFour;
+        AttnRunResult a = RunAttention(Backend::kPod, batch, spec);
+        AttnRunResult f = RunAttention(Backend::kPod, batch, spec, forced);
+        EXPECT_EQ(a.total_time, f.total_time);
+        EXPECT_EQ(a.prefill_time, f.prefill_time);
+        EXPECT_EQ(a.decode_time, f.decode_time);
+        EXPECT_EQ(a.tensor_util, f.tensor_util);
+        EXPECT_EQ(a.useful_tensor_util, f.useful_tensor_util);
+        EXPECT_EQ(a.mem_util, f.mem_util);
+        EXPECT_EQ(a.energy_joules, f.energy_joules);
+        EXPECT_EQ(a.total_ctas, f.total_ctas);
+        EXPECT_EQ(a.analytic_fastpath_events, f.analytic_fastpath_events);
+        EXPECT_EQ(a.oracle_fallback_events, f.oracle_fallback_events);
+        EXPECT_EQ(a.pod_plan.ctas_per_sm, pick);
+        EXPECT_EQ(a.pod_plan.ctas_per_sm, f.pod_plan.ctas_per_sm);
+        EXPECT_EQ(a.pod_plan.prefill_ctas, f.pod_plan.prefill_ctas);
+        EXPECT_EQ(a.pod_plan.decode_physical_ctas,
+                  f.pod_plan.decode_physical_ctas);
+
+        // The events are one simulation's: those of running the plan's
+        // kernel once.
+        PodPlan plan;
+        gpusim::KernelDesc kernel =
+            BuildPodKernel(batch, spec, PodOptions(), &plan);
+        EXPECT_EQ(plan.ctas_per_sm, pick);
+        gpusim::SimResult once = gpusim::FluidEngine(spec).RunKernel(kernel);
+        EXPECT_EQ(a.analytic_fastpath_events, once.analytic_fastpath_events);
+        EXPECT_EQ(a.total_time, once.total_time);
+    }
+    EXPECT_GT(twos, 0);
+    EXPECT_LT(twos, 4);  // of the four batches, some pick 4
 }
 
 TEST(RunAttention, FiBatchedDegradesAtLongContext)

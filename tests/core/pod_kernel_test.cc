@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for POD-Attention kernel assembly: plan resolution,
- * CTAs/SM heuristic, split limiting, virtual CTA packing and policy
+ * CTAs/SM rule, split limiting, virtual CTA packing and policy
  * instantiation.
  */
 #include "core/pod_kernel.h"
@@ -35,20 +35,29 @@ TEST(ChooseCtasPerSmTest, ForcedSettings)
     EXPECT_EQ(ChooseCtasPerSm(batch, spec, options), 4);
 }
 
-TEST(ChooseCtasPerSmTest, HeuristicFollowsDominance)
+TEST(ChooseCtasPerSmTest, RuleMatchesFig13Cells)
 {
+    // Fig. 13 cells (Llama-3-8B TP-2, 2K chunk, decode context = prefill
+    // context), each the simulated winner: up to 128 decodes the
+    // prefill holds >= 1/2 of the grid's CTAs and 4 CTAs/SM co-locates
+    // better; at 192+ decodes the decode units dominate and 2 CTAs/SM's
+    // large prefill tile wins.
     gpusim::GpuSpec spec = gpusim::GpuSpec::A100Sxm80GB();
     PodOptions options;  // auto
-
-    // Long full prefill + few decodes: prefill dominates -> 2.
-    auto prefill_heavy =
-        kernels::HybridBatch::Make(Llama3Tp2(), 16384, 16384, 16, 4096);
-    EXPECT_EQ(ChooseCtasPerSm(prefill_heavy, spec, options), 2);
-
-    // Small chunk + many long decodes: decode dominates -> 4.
-    auto decode_heavy =
-        kernels::HybridBatch::Make(Llama3Tp2(), 512, 4096, 200, 16384);
-    EXPECT_EQ(ChooseCtasPerSm(decode_heavy, spec, options), 4);
+    struct Cell
+    {
+        int ctx;
+        int decode_bs;
+        int ctas;
+    };
+    const Cell cells[] = {{2048, 32, 4},   {8192, 64, 4},  {16384, 128, 4},
+                          {4096, 192, 2},  {20480, 256, 2}};
+    for (const Cell& c : cells) {
+        auto batch = kernels::HybridBatch::Make(Llama3Tp2(), 2048, c.ctx,
+                                                c.decode_bs, c.ctx);
+        EXPECT_EQ(ChooseCtasPerSm(batch, spec, options), c.ctas)
+            << "ctx=" << c.ctx << " bs=" << c.decode_bs;
+    }
 }
 
 TEST(BuildPodKernelTest, PlanBasics)
