@@ -119,8 +119,6 @@ class ClusterEngine
 
     const serve::ServingEngine& Replica(int index) const;
 
-    const Router& RouterPolicy() const { return *router_; }
-
     // ---- observability (docs/OBSERVABILITY.md) ----
 
     /**
@@ -131,8 +129,6 @@ class ClusterEngine
      * at the start of every Run(). Idempotent.
      */
     void EnableTracing(size_t reserve_events = 4096);
-
-    bool TracingEnabled() const { return !recorders_.empty(); }
 
     /**
      * Merge all recorders into one Chrome trace-event JSON document.

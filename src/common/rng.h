@@ -60,14 +60,6 @@ class Rng
         return dist(engine_);
     }
 
-    /** Normal draw. */
-    double
-    Normal(double mean, double stddev)
-    {
-        std::normal_distribution<double> dist(mean, stddev);
-        return dist(engine_);
-    }
-
     /**
      * Log-normal draw parameterized by the desired mean and standard
      * deviation of the resulting distribution (not of the underlying
@@ -77,17 +69,6 @@ class Rng
 
     /** Pick an index in [0, weights.size()) with the given weights. */
     size_t Weighted(const std::vector<double>& weights);
-
-    /** Shuffle a vector in place. */
-    template <typename T>
-    void
-    Shuffle(std::vector<T>& v)
-    {
-        std::shuffle(v.begin(), v.end(), engine_);
-    }
-
-    /** Access the raw engine (for std distributions). */
-    std::mt19937_64& Engine() { return engine_; }
 
   private:
     std::mt19937_64 engine_;

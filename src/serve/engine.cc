@@ -4,15 +4,15 @@
  *
  * The incremental accounting invariants (PR 3, extended for the
  * lifecycle redesign):
- *  - `unadmitted_` holds state indices of never-admitted requests in
- *    submission (= arrival) order. The FCFS admission scan admits a
- *    consecutive prefix (head-of-line blocking stops it), and a
- *    never-admitted request can never finish, so the queue only ever
- *    pops at `unadmitted_head_`. Preempted requests left the queue at
- *    their first admission; their transitions flow through the
- *    SchedulingDecision lists instead.
- *  - `arrived_mark_` splits the queue into arrived (<= now) and
- *    future entries; the clock is monotonic, so it only moves forward.
+ *  - States are kept in submission (= arrival) order, and the FCFS
+ *    admission scan admits a consecutive prefix (head-of-line
+ *    blocking stops it), so the never-admitted requests are exactly
+ *    the indices from `admitted_end_` on. Preempted requests left
+ *    that range at their first admission; their transitions flow
+ *    through the SchedulingDecision lists instead.
+ *  - `arrived_mark_` splits the never-admitted range into arrived
+ *    (<= now) and future entries; the clock is monotonic, so it only
+ *    moves forward.
  *  - Token/block counters are integer sums updated at transitions
  *    (Submit, admission, restore, preemption, chunk/decode progress,
  *    finish), so the O(1) Snapshot() is exactly the value a full
@@ -31,7 +31,6 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "model/iteration_cost.h"
-#include "serve/prefix/prefix_cache.h"
 
 namespace pod::serve {
 
@@ -193,8 +192,6 @@ ServingEngine::Reset()
     finished_ = 0;
     tbt_.Clear();
     admitted_end_ = 0;
-    unadmitted_.clear();
-    unadmitted_head_ = 0;
     arrived_mark_ = 0;
     running_ = 0;
     preempted_now_ = 0;
@@ -204,11 +201,10 @@ ServingEngine::Reset()
     pending_preempted_blocks_ = 0;
     counters_ = EngineCounters{};
     long kv_tokens = config_.KvTokenCapacity();
-    kv_ = MakeKvAllocator(config_.kv_policy,
-                          std::max<long>(1, kv_tokens / config_.kv_block_size),
-                          config_.kv_block_size, config_.kv_watermark,
-                          config_.kv_preempt_mode,
-                          config_.prefix_cache_enabled);
+    kv_.emplace(config_.kv_policy,
+                std::max<long>(1, kv_tokens / config_.kv_block_size),
+                config_.kv_block_size, config_.kv_watermark,
+                config_.kv_preempt_mode, config_.prefix_cache_enabled);
     kv_bytes_per_token_ =
         config_.model.KvBytesPerTokenPerGpu(config_.tensor_parallel);
     swap_bandwidth_ =
@@ -236,7 +232,6 @@ ServingEngine::Submit(const Request& request)
                         request.prefill_tokens, request.decode_tokens);
     }
 
-    unadmitted_.push_back(static_cast<int>(states_.size()) - 1);
     prefill_tokens_pending_ += request.prefill_tokens;
     pending_unadmitted_blocks_ +=
         kv_->BlocksFor(request.prefill_tokens + request.decode_tokens);
@@ -246,21 +241,21 @@ ServingEngine::Submit(const Request& request)
 void
 ServingEngine::SyncArrivals()
 {
-    while (arrived_mark_ < unadmitted_.size() &&
-           states_[static_cast<size_t>(unadmitted_[arrived_mark_])]
-                   .request.arrival_time <= now_) {
+    while (arrived_mark_ < states_.size() &&
+           states_[arrived_mark_].request.arrival_time <= now_) {
         ++arrived_mark_;
     }
 }
 
 void
-ServingEngine::ApplyAdmissions(const SchedulingDecision& decision)
+ServingEngine::ApplyAdmissions(const SchedulingDecision& decision,
+                               size_t first)
 {
     for (const auto& a : decision.admissions) {
         const int idx = a.req_index;
-        // FCFS admissions are exactly the next unadmitted-queue heads.
-        POD_ASSERT(unadmitted_head_ < unadmitted_.size() &&
-                   unadmitted_[unadmitted_head_] == idx);
+        // FCFS admissions are exactly the next never-admitted indices,
+        // and the scheduler advanced admitted_end_ past them.
+        POD_ASSERT(static_cast<size_t>(idx) == first++);
         const RequestState& state = states_[static_cast<size_t>(idx)];
         if (trace_) {
             trace_->Instant(
@@ -275,10 +270,10 @@ ServingEngine::ApplyAdmissions(const SchedulingDecision& decision)
         pending_unadmitted_blocks_ -=
             kv_->BlocksFor(state.request.prefill_tokens +
                            state.request.decode_tokens);
-        ++unadmitted_head_;
     }
+    POD_ASSERT(first == admitted_end_);
     // Admission never outruns arrival (FCFS stops at future requests).
-    if (arrived_mark_ < unadmitted_head_) arrived_mark_ = unadmitted_head_;
+    if (arrived_mark_ < admitted_end_) arrived_mark_ = admitted_end_;
 }
 
 double
@@ -385,15 +380,16 @@ ServingEngine::FinishRequest(RequestState& state)
 StepResult
 ServingEngine::Step()
 {
-    POD_ASSERT(kv_ != nullptr);  // the constructor calls Reset()
+    POD_ASSERT(kv_.has_value());  // the constructor calls Reset()
     StepResult result;
     result.start = now_;
 
     // active_begin = 0 is always valid; the schedulers keep their own
     // queues and read it only on the reset admitted_end_ == 0 signals.
+    const size_t admitted_before = admitted_end_;
     SchedulingDecision decision =
         scheduler_->Next(now_, states_, *kv_, 0, admitted_end_);
-    ApplyAdmissions(decision);
+    ApplyAdmissions(decision, admitted_before);
     const double swap_time = ApplyLifecycleTransitions(decision);
     result.swap_time = swap_time;
     const ScheduledBatch& batch = decision.batch;
@@ -407,11 +403,10 @@ ServingEngine::Step()
         POD_ASSERT(preempted_now_ == 0);
         // Nothing runnable: jump to the next queued arrival (the
         // first unadmitted entry beyond the arrived mark).
-        POD_ASSERT_MSG(arrived_mark_ < unadmitted_.size(),
+        POD_ASSERT_MSG(arrived_mark_ < states_.size(),
                        "scheduler stuck with %zu unfinished requests",
                        states_.size() - finished_);
-        now_ = states_[static_cast<size_t>(unadmitted_[arrived_mark_])]
-                   .request.arrival_time;
+        now_ = states_[arrived_mark_].request.arrival_time;
         SyncArrivals();
         result.kv_utilization = kv_->Utilization();
         return result;
@@ -505,10 +500,9 @@ ServingEngine::NextEventTime() const
 {
     if (running_ > 0) return now_;
     if (preempted_now_ > 0) return now_;  // awaiting re-admission
-    if (arrived_mark_ > unadmitted_head_) return now_;  // waiting work
-    if (arrived_mark_ < unadmitted_.size()) {
-        return states_[static_cast<size_t>(unadmitted_[arrived_mark_])]
-            .request.arrival_time;
+    if (arrived_mark_ > admitted_end_) return now_;  // waiting work
+    if (arrived_mark_ < states_.size()) {
+        return states_[arrived_mark_].request.arrival_time;
     }
     return std::numeric_limits<double>::infinity();
 }
@@ -516,14 +510,14 @@ ServingEngine::NextEventTime() const
 ReplicaSnapshot
 ServingEngine::Snapshot() const
 {
-    POD_ASSERT(kv_ != nullptr);  // the constructor calls Reset()
+    POD_ASSERT(kv_.has_value());  // the constructor calls Reset()
     ReplicaSnapshot snap;
     snap.gpu_name = config_.gpu.name;
     snap.now = now_;
     snap.submitted = static_cast<int>(states_.size());
     snap.finished = static_cast<int>(finished_);
     snap.outstanding = snap.submitted - snap.finished;
-    snap.waiting = static_cast<int>(arrived_mark_ - unadmitted_head_);
+    snap.waiting = static_cast<int>(arrived_mark_ - admitted_end_);
     snap.running = running_;
     snap.preempted = preempted_now_;
     snap.prefill_tokens_pending = prefill_tokens_pending_;
@@ -548,14 +542,15 @@ ServingEngine::Counters() const
 {
     EngineCounters counters = counters_;
     counters.attn_cache_entries = static_cast<long>(attn_cache_.size());
-    if (const prefix::PrefixCacheStats* ps = kv_->PrefixStats()) {
-        counters.prefix_hits = ps->hits;
-        counters.prefix_misses = ps->misses;
-        counters.prefix_hit_blocks = ps->hit_blocks;
-        counters.prefix_evicted_blocks = ps->evicted_blocks;
-        counters.prefix_cached_blocks = ps->cached_blocks;
-        counters.prefix_shared_blocks = ps->shared_blocks;
-        counters.prefix_tokens_saved = ps->prefill_tokens_saved;
+    if (const prefix::PrefixCache* cache = kv_->Cache()) {
+        const prefix::PrefixCacheStats& ps = cache->Stats();
+        counters.prefix_hits = ps.hits;
+        counters.prefix_misses = ps.misses;
+        counters.prefix_hit_blocks = ps.hit_blocks;
+        counters.prefix_evicted_blocks = ps.evicted_blocks;
+        counters.prefix_cached_blocks = ps.cached_blocks;
+        counters.prefix_shared_blocks = ps.shared_blocks;
+        counters.prefix_tokens_saved = ps.prefill_tokens_saved;
     }
     return counters;
 }

@@ -12,12 +12,14 @@
  * cluster hands replicas of one cost identity a shared second-level
  * table, so a fleet simulates each signature once.
  *
- * KV allocation is pluggable (docs/DESIGN.md S2): the scheduler
- * admits, grows and evicts through a KvAllocator, and the engine
- * applies the lifecycle consequences — recompute-preempted requests
- * re-run their prefill, swap-preempted requests charge PCIe transfer
- * time both ways. The conservative policy (default) reproduces the
- * pre-redesign behaviour bit-identically.
+ * KV allocation goes through one KvAllocator (docs/DESIGN.md S2)
+ * built from the config's policy, watermark, preemption mode and
+ * prefix-cache switch: the scheduler admits, grows and evicts through
+ * it, and the engine applies the lifecycle consequences —
+ * recompute-preempted requests re-run their prefill, swap-preempted
+ * requests charge PCIe transfer time both ways. The conservative
+ * policy (default) reproduces the pre-redesign behaviour
+ * bit-identically.
  *
  * Queue and KV occupancy are tracked incrementally (PR 3): running
  * counters maintained at Submit/admission/preemption/progress
@@ -30,6 +32,7 @@
 #define POD_SERVE_ENGINE_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -81,12 +84,12 @@ struct ServingConfig
     PreemptMode kv_preempt_mode = PreemptMode::kRecompute;
 
     /**
-     * Shared-prefix KV reuse (docs/DESIGN.md S2.6): wrap the KV
-     * policy in the radix prefix cache so admissions serve cached
-     * prompt blocks instead of re-prefilling them. Only requests
-     * with hashable prompts (Request::prompt) can hit; off (the
-     * default) is bit-identical to the unwrapped policy. Requires
-     * kRecompute preemption under kWatermark.
+     * Shared-prefix KV reuse (docs/DESIGN.md S2.6): the allocator
+     * keeps a radix prefix cache so admissions serve cached prompt
+     * blocks instead of re-prefilling them. Only requests with
+     * hashable prompts (Request::prompt) can hit; an opaque-prompt
+     * run is bit-identical with it on or off. Requires kRecompute
+     * preemption under kWatermark.
      */
     bool prefix_cache_enabled = false;
 
@@ -301,7 +304,7 @@ class ServingEngine
      */
     const SampleStats& Tbt() const { return tbt_; }
 
-    /** The active KV allocation policy. */
+    /** The KV allocator (rebuilt by Reset()). */
     const KvAllocator& Allocator() const { return *kv_; }
 
     /**
@@ -376,11 +379,11 @@ class ServingEngine
 
     /**
      * Fold scheduler admissions into the running counters. The FCFS
-     * admission scan only ever admits a prefix of the unadmitted
-     * queue, so the decision's admission list pops queue heads in
-     * O(newly admitted).
+     * admission scan only ever admits the next never-admitted
+     * indices, from `first` (admitted_end_ before the scheduling
+     * pass) on, in O(newly admitted).
      */
-    void ApplyAdmissions(const SchedulingDecision& decision);
+    void ApplyAdmissions(const SchedulingDecision& decision, size_t first);
 
     /**
      * Fold restores and preemptions into the running counters
@@ -415,7 +418,7 @@ class ServingEngine
 
     // ---- stepping state (valid between Reset() and Done()) ----
     std::vector<RequestState> states_;
-    std::unique_ptr<KvAllocator> kv_;
+    std::optional<KvAllocator> kv_;
     double now_ = 0.0;
     long iterations_ = 0;
     double total_batch_tokens_ = 0.0;
@@ -431,18 +434,13 @@ class ServingEngine
     double swap_bandwidth_ = 1.0;
 
     // ---- incremental queue/KV accounting (PR 3) ----
-    /** One past the highest index ever admitted (FCFS watermark);
-     *  Reset() zeroes it, which tells the scheduler to drop its
-     *  queues (Scheduler::Next). */
+    /** One past the highest index ever admitted (FCFS watermark):
+     *  states from here on were never admitted. Reset() zeroes it,
+     *  which tells the scheduler to drop its queues
+     *  (Scheduler::Next). */
     size_t admitted_end_ = 0;
 
-    /**
-     * Indices of never-admitted requests in submission (= arrival)
-     * order. FCFS admission pops a prefix; entries before
-     * arrived_mark_ have arrival_time <= now_.
-     */
-    std::vector<int> unadmitted_;
-    size_t unadmitted_head_ = 0;
+    /** States before this index have arrival_time <= now_. */
     size_t arrived_mark_ = 0;
 
     /** Admitted and unfinished requests. */

@@ -1,41 +1,63 @@
 /**
  * @file
- * Pluggable KV-cache allocation policies for the serving engine
- * (docs/DESIGN.md S2).
+ * The serving engine's KV-cache allocator (docs/DESIGN.md S2).
  *
- * The allocator owns the admission/growth/eviction *policy* over a
- * raw block ledger (serve/kv_manager.h). Two policies ship:
+ * One class owns the admission/growth/eviction rules over a raw
+ * block ledger (serve/kv_manager.h). Its inputs select the rule set:
  *
- *  - ConservativeKvAllocator (default): a request reserves blocks for
+ *  - KvPolicy::kConservative (default): a request reserves blocks for
  *    its full prompt plus maximum output up front, so growth never
- *    allocates and preemption can never be needed. This is the
+ *    allocates and preemption is never needed. This is the
  *    pre-redesign behaviour, kept bit-identical.
- *  - WatermarkKvAllocator: vLLM semantics. Admission reserves the
- *    prompt only and is gated on a free-block watermark; decode
- *    tokens grow the reservation one block at a time as they
+ *  - KvPolicy::kWatermark: vLLM semantics. Admission reserves the
+ *    prefill target only and is gated on a free-block watermark;
+ *    decode tokens grow the reservation one block at a time as they
  *    materialize (CanAppend/Append); under pressure the scheduler
  *    evicts victims (Evict), which either re-prefill their context
  *    (recompute) or park their blocks in host memory and pay PCIe
  *    transfer time both ways (swap).
+ *  - Prefix caching (either policy; docs/DESIGN.md S2.6): admission
+ *    first matches the request's chained block hashes against a radix
+ *    cache (serve/prefix/prefix_cache.h) and reserves private blocks
+ *    only for the unmatched remainder, so a hit converts prefill work
+ *    into decode-shaped work (the paper's fig15 P:D shift). When the
+ *    prompt's prefill completes, its full blocks migrate into the
+ *    pool's shared account and the tree; duplicates an earlier
+ *    request already cached are dropped. Under pool pressure —
+ *    admission gate or decode growth — refcount-0 cache subtrees are
+ *    LRU-evicted before any running request is preempted.
  *
- * Only allocator implementations construct a BlockKvManager; every
- * other layer talks to this interface.
+ * Each rule exists once: the reservation (full context, prefill
+ * target or swapped footprint, minus cache-covered blocks), the
+ * admission gate (watermark 0 under kConservative), the growth need
+ * (BlocksFor(context + 1) - covered - held) and the worst-case fit.
+ *
+ * Only PreemptMode::kRecompute combines with the prefix cache. Swap
+ * would park a victim's *shared* blocks on the host while other live
+ * requests still reference them on-device, splitting one block's
+ * identity in two; recompute simply drops the references (the nodes
+ * stay cached at refcount 0, so re-admission usually re-matches and
+ * the recompute is cheap). The scheduler's frontmost-decoder
+ * guarantee survives: after evicting every other decoder, all cached
+ * blocks not referenced by the frontmost request have refcount 0, so
+ * free + evictable >= CheckFits' worst-case footprint.
+ *
+ * Only the allocator constructs a BlockKvManager; every other layer
+ * talks to this class.
  */
 #ifndef POD_SERVE_KV_ALLOCATOR_H
 #define POD_SERVE_KV_ALLOCATOR_H
 
+#include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "serve/kv_manager.h"
+#include "serve/prefix/prefix_cache.h"
 #include "serve/request.h"
 
 namespace pod::serve {
-
-namespace prefix {
-struct PrefixCacheStats;
-}  // namespace prefix
 
 /** How an evicted request's KV is recovered on re-admission. */
 enum class PreemptMode {
@@ -49,11 +71,25 @@ enum class KvPolicy {
     kWatermark,     ///< vLLM watermark admission + preemption.
 };
 
-/** KV allocation-policy interface. */
+/** KV admission, growth and eviction over one block pool. */
 class KvAllocator
 {
   public:
-    virtual ~KvAllocator() = default;
+    /**
+     * @param watermark fraction of the pool that must stay free
+     *        after an admission (vLLM's `watermark`); kWatermark
+     *        only, forced to 0 under kConservative.
+     * @param preempt_mode how the scheduler should evict victims
+     *        (kWatermark only; must be kRecompute with the prefix
+     *        cache on).
+     * @param prefix_cache_enabled match and cache prompt blocks in a
+     *        radix prefix cache. Off builds no cache and hashes
+     *        nothing.
+     */
+    KvAllocator(KvPolicy policy, long total_blocks, int block_size,
+                double watermark = 0.0,
+                PreemptMode preempt_mode = PreemptMode::kRecompute,
+                bool prefix_cache_enabled = false);
 
     /**
      * Try to move a request into the running set, reserving the
@@ -63,71 +99,87 @@ class KvAllocator
      * @return true and the reservation is made; false leaves the
      *         pool untouched.
      */
-    virtual bool TryAdmit(const RequestState& state) = 0;
+    bool TryAdmit(const RequestState& state);
 
     /**
      * Can the running request grow by the one token the next
-     * iteration materializes (context ContextLen() + 1)?
+     * iteration materializes (context ContextLen() + 1)? Always
+     * under kConservative: the admission reserved the full context.
      */
-    virtual bool CanAppend(const RequestState& state) const = 0;
+    bool
+    CanAppend(const RequestState& state) const
+    {
+        return policy_ == KvPolicy::kConservative || CanGrow(state);
+    }
 
     /**
      * Grow the running request's reservation for that token.
      * Call only after CanAppend() returned true this iteration.
      */
-    virtual void Append(const RequestState& state) = 0;
+    void
+    Append(const RequestState& state)
+    {
+        if (policy_ != KvPolicy::kConservative) Grow(state);
+    }
 
     /**
      * Evict a running request's blocks (preemption). In kSwap mode
      * the footprint is remembered so re-admission restores it
-     * exactly; in kRecompute mode it is simply dropped.
+     * exactly; in kRecompute mode it is simply dropped (cache
+     * references too; the cached nodes stay). Fatal under
+     * kConservative, which never preempts.
      * @return blocks freed (the swap-out transfer size).
      */
-    virtual long Evict(const RequestState& state, PreemptMode mode) = 0;
+    long Evict(const RequestState& state, PreemptMode mode);
 
-    /** Release a finished request's blocks. */
-    virtual void Release(int request_id) { pool_.Free(request_id); }
+    /** Release a finished request's blocks and cache references. */
+    void Release(int request_id);
 
     /**
      * Prompt tokens the most recent successful TryAdmit() served
-     * from a prefix cache (0 for cacheless policies). The scheduler
-     * credits them as already-prefilled before building the batch.
+     * from the prefix cache (0 without it). The scheduler credits
+     * them as already-prefilled before building the batch.
      */
-    virtual int LastAdmitCachedTokens() const { return 0; }
+    int LastAdmitCachedTokens() const { return last_admit_cached_tokens_; }
 
     /**
-     * Hook: the request's prefill just completed (engine progress
-     * loop). Prefix-caching policies insert the prompt's blocks into
-     * their cache here; the default is a no-op.
+     * The request's prefill just completed (engine progress loop):
+     * insert the prompt's full blocks into the prefix cache. No-op
+     * without it.
      */
-    virtual void OnPrefillComplete(const RequestState& state)
-    {
-        (void)state;
-    }
+    void OnPrefillComplete(const RequestState& state);
 
-    /** Prefix-cache statistics, or nullptr for cacheless policies. */
-    virtual const prefix::PrefixCacheStats* PrefixStats() const
-    {
-        return nullptr;
-    }
+    /** The radix prefix cache (its Stats() feed the kv_prefix.*
+     * telemetry), or nullptr when prefix caching is off. */
+    const prefix::PrefixCache* Cache() const { return cache_.get(); }
 
     /**
-     * Fatal if the request could never be admitted by this policy
-     * even against an empty pool (guards the scheduler against
-     * spinning forever on an impossible request).
+     * Fatal if the request could never be admitted even against an
+     * empty pool: its worst-case on-device footprint (the whole
+     * context, all private) plus the admission watermark exceeds the
+     * pool. Guards the scheduler against spinning forever on an
+     * impossible request.
      */
-    virtual void CheckFits(const RequestState& state) const = 0;
+    void CheckFits(const RequestState& state) const;
 
-    /** How this policy prefers to preempt victims. */
-    virtual PreemptMode preempt_mode() const { return PreemptMode::kRecompute; }
+    KvPolicy policy() const { return policy_; }
 
-    /** Admission watermark as a fraction of the pool (0 = none). */
-    virtual double WatermarkFraction() const { return 0.0; }
+    /** How the scheduler should preempt victims. */
+    PreemptMode preempt_mode() const { return preempt_mode_; }
 
-    /** Policy name for reports. */
-    virtual std::string Name() const = 0;
+    /** Blocks parked in host memory for a swapped-out request. */
+    long SwappedBlocks(int request_id) const;
 
-    // ---- pool observers (shared ledger) ----
+    /**
+     * Audit every cross-structure invariant: the pool ledger, swapped
+     * requests holding nothing on-device, and with the prefix cache
+     * the tree's internal counters plus the cache-vs-shared-account
+     * lockstep (tree blocks == pool shared blocks, per-request
+     * coverage == recorded shared cover). Fatal on drift. O(tree).
+     */
+    void AuditLedger() const;
+
+    // ---- pool observers ----
     long BlocksFor(int tokens) const { return pool_.BlocksFor(tokens); }
     long TotalBlocks() const { return pool_.TotalBlocks(); }
     long UsedBlocks() const { return pool_.UsedBlocks(); }
@@ -148,89 +200,41 @@ class KvAllocator
     WatermarkHeadroom() const
     {
         return static_cast<double>(FreeBlocks()) / TotalBlocks() -
-               WatermarkFraction();
+               watermark_;
     }
-
-  protected:
-    KvAllocator(long total_blocks, int block_size)
-        : pool_(total_blocks, block_size)
-    {
-    }
-
-    BlockKvManager pool_;
-};
-
-/**
- * Today's semantics, unchanged: admit only when the full prompt +
- * maximum output fits, so a running request never needs another
- * block. Keeps all pre-redesign goldens bit-identical.
- */
-class ConservativeKvAllocator : public KvAllocator
-{
-  public:
-    ConservativeKvAllocator(long total_blocks, int block_size);
-
-    bool TryAdmit(const RequestState& state) override;
-    bool CanAppend(const RequestState& state) const override;
-    void Append(const RequestState& state) override;
-    long Evict(const RequestState& state, PreemptMode mode) override;
-    void CheckFits(const RequestState& state) const override;
-
-    std::string Name() const override { return "conservative"; }
-};
-
-/**
- * vLLM semantics: watermark-gated prompt-only admission, incremental
- * decode growth, eviction under pressure.
- */
-class WatermarkKvAllocator : public KvAllocator
-{
-  public:
-    /**
-     * @param watermark fraction of the pool that must stay free
-     *        after an admission (vLLM's `watermark`, default 0.01).
-     * @param preempt_mode how the scheduler should evict victims.
-     */
-    WatermarkKvAllocator(long total_blocks, int block_size,
-                         double watermark, PreemptMode preempt_mode);
-
-    bool TryAdmit(const RequestState& state) override;
-    bool CanAppend(const RequestState& state) const override;
-    void Append(const RequestState& state) override;
-    long Evict(const RequestState& state, PreemptMode mode) override;
-    void CheckFits(const RequestState& state) const override;
-
-    PreemptMode preempt_mode() const override { return preempt_mode_; }
-    double WatermarkFraction() const override { return watermark_; }
-
-    std::string Name() const override { return "watermark"; }
-
-    /** Blocks parked in host memory for a swapped-out request. */
-    long SwappedBlocks(int request_id) const;
 
   private:
-    /** Blocks the next materialized token needs beyond those held. */
-    long AppendNeed(const RequestState& state) const;
+    /** Hash chain for a request, computed once and cached by id. */
+    const std::vector<uint64_t>& HashesFor(const RequestState& state);
 
-    double watermark_;
+    /** Blocks the next materialized token needs beyond the held and
+     * cache-covered ones (kWatermark). */
+    long GrowthNeed(const RequestState& state) const;
+
+    bool CanGrow(const RequestState& state) const;
+    void Grow(const RequestState& state);
+
+    KvPolicy policy_;
     PreemptMode preempt_mode_;
+
+    /** Admission watermark as a fraction of the pool (0 = none). */
+    double watermark_;
     long watermark_blocks_;
+    BlockKvManager pool_;
+    int last_admit_cached_tokens_ = 0;
 
     /** Host-side footprints of swapped-out requests. */
     std::unordered_map<int, long> swapped_out_;
-};
 
-/**
- * Build the allocator for a policy. `watermark` and `preempt_mode`
- * only apply to KvPolicy::kWatermark. With `prefix_cache_enabled`
- * the policy is wrapped in the radix prefix cache
- * (serve/prefix/prefix_allocator.h; requires PreemptMode::kRecompute
- * under KvPolicy::kWatermark — swap would pin shared blocks).
- */
-std::unique_ptr<KvAllocator> MakeKvAllocator(
-    KvPolicy policy, long total_blocks, int block_size,
-    double watermark, PreemptMode preempt_mode,
-    bool prefix_cache_enabled = false);
+    /** The radix prefix cache; null when prefix caching is off. */
+    std::unique_ptr<prefix::PrefixCache> cache_;
+
+    /** Hash chains of in-flight requests (admission .. release). */
+    std::unordered_map<int, std::vector<uint64_t>> hashes_;
+
+    /** Context blocks covered by cache references, per request. */
+    std::unordered_map<int, long> shared_cover_;
+};
 
 }  // namespace pod::serve
 

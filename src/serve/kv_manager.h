@@ -5,9 +5,9 @@
  * BlockKvManager is the raw block ledger: it tracks which request
  * holds how many blocks and nothing else. Admission *policy* — when a
  * reservation may happen, whether requests grow incrementally, who
- * gets evicted under pressure — lives in the KvAllocator
- * implementations (serve/kv_allocator.h), which are the only code
- * that should construct one (docs/DESIGN.md S2).
+ * gets evicted under pressure — lives in KvAllocator
+ * (serve/kv_allocator.h), the only code that should construct one
+ * (docs/DESIGN.md S2).
  */
 #ifndef POD_SERVE_KV_MANAGER_H
 #define POD_SERVE_KV_MANAGER_H
@@ -22,7 +22,7 @@ namespace pod::serve {
  * Tracks KV block allocation per request. Pure accounting: every
  * operation is a ledger update; misuse (double reserve, double free,
  * freeing an unknown request) is fatal rather than silently absorbed,
- * so policy bugs in the allocators surface at the call site.
+ * so policy bugs in the allocator surface at the call site.
  */
 class BlockKvManager
 {

@@ -23,7 +23,7 @@
  *
  * The cache is pure hash bookkeeping: the block *counts* it caches
  * live in BlockKvManager's shared account, and the owning allocator
- * (serve/prefix/prefix_allocator.h) keeps the two in lockstep
+ * (serve/kv_allocator.h) keeps the two in lockstep
  * (CachedBlocks() == pool.SharedBlocks(), audited by the randomized
  * CoW oracle test).
  */

@@ -76,7 +76,7 @@ ArrivalOrder(const Request& a, const Request& b)
  *
  *   Queued -> Running -> Finished
  *               |  ^
- *               v  |  (WatermarkKvAllocator only)
+ *               v  |  (KvPolicy::kWatermark only)
  *     PreemptedRecompute / PreemptedSwapped
  *
  * A preempted request's KV blocks are evicted; re-admission either

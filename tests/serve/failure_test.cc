@@ -31,7 +31,7 @@ TEST(FailureInjection, RequestLargerThanPoolIsFatal)
     // A single request whose prompt + output exceeds the entire KV
     // pool can never be admitted; the scheduler must fail loudly
     // instead of spinning forever.
-    ConservativeKvAllocator kv(4, 16);  // 64 tokens total
+    KvAllocator kv(KvPolicy::kConservative, 4, 16);  // 64 tokens total
     std::vector<RequestState> states(1);
     states[0].request = Request{0, 0.0, 1000, 10, {}, -1, 0};
     SarathiScheduler sched(512);
@@ -45,7 +45,7 @@ TEST(FailureInjection, OversizedRequestFatalUnderWatermarkToo)
     // request whose worst-case context cannot coexist with the
     // watermark would deadlock the decode-growth path — equally
     // fatal.
-    WatermarkKvAllocator kv(4, 16, 0.25, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 4, 16, 0.25, PreemptMode::kRecompute);
     std::vector<RequestState> states(1);
     states[0].request = Request{0, 0.0, 40, 20, {}, -1, 0};  // 60 tok + 1 wm block
     SarathiScheduler sched(512);
@@ -57,8 +57,8 @@ TEST(FailureInjection, HeadOfLineBlockingUnderMemoryPressure)
 {
     // FCFS admission: a huge request at the head blocks a small one
     // behind it even though the small one would fit (the conservative
-    // policy documented in ConservativeKvAllocator).
-    ConservativeKvAllocator kv(100, 16);  // 1600 tokens
+    // KV policy, documented in serve/kv_allocator.h).
+    KvAllocator kv(KvPolicy::kConservative, 100, 16);  // 1600 tokens
     // Resident tenant holding 20 blocks.
     RequestState tenant;
     tenant.request = Request{99, 0.0, 310, 10, {}, -1, 0};  // 320 tokens

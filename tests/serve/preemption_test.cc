@@ -40,7 +40,8 @@ MakeState(int id, int prefill_tokens, int decode_tokens)
 TEST(WatermarkKvAllocatorTest, AdmissionBlockedAtWatermark)
 {
     // 100 blocks, 10 reserved as the watermark.
-    WatermarkKvAllocator kv(100, 16, 0.10, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 100, 16, 0.10,
+                   PreemptMode::kRecompute);
     RequestState a = MakeState(0, 1280, 100);  // prompt = 80 blocks
     EXPECT_TRUE(kv.TryAdmit(a));
     a.phase = Phase::kRunning;
@@ -63,17 +64,18 @@ TEST(WatermarkKvAllocatorTest, AdmitsOnPromptWhereConservativeBlocks)
     // preemption-heavy regime.
     RequestState state = MakeState(0, 320, 1600);  // 20 + 100 blocks
 
-    ConservativeKvAllocator conservative(64, 16);
+    KvAllocator conservative(KvPolicy::kConservative, 64, 16);
     EXPECT_FALSE(conservative.TryAdmit(state));
 
-    WatermarkKvAllocator watermark(64, 16, 0.01, PreemptMode::kRecompute);
+    KvAllocator watermark(KvPolicy::kWatermark, 64, 16, 0.01,
+                          PreemptMode::kRecompute);
     EXPECT_TRUE(watermark.TryAdmit(state));
     EXPECT_EQ(watermark.Held(0), 20);  // prompt blocks only
 }
 
 TEST(WatermarkKvAllocatorTest, AppendAllocatesAtBlockBoundaries)
 {
-    WatermarkKvAllocator kv(10, 16, 0.0, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 10, 16, 0.0, PreemptMode::kRecompute);
     RequestState state = MakeState(0, 16, 64);  // prompt = 1 block
     ASSERT_TRUE(kv.TryAdmit(state));
     state.phase = Phase::kRunning;
@@ -100,7 +102,7 @@ TEST(WatermarkKvAllocatorTest, AppendAllocatesAtBlockBoundaries)
 
 TEST(WatermarkKvAllocatorTest, CanAppendFalseOnlyWhenPoolExhausted)
 {
-    WatermarkKvAllocator kv(3, 16, 0.0, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 3, 16, 0.0, PreemptMode::kRecompute);
     RequestState a = MakeState(0, 16, 64);
     RequestState b = MakeState(1, 32, 64);
     ASSERT_TRUE(kv.TryAdmit(a));
@@ -121,7 +123,7 @@ TEST(WatermarkKvAllocatorTest, CanAppendFalseOnlyWhenPoolExhausted)
 
 TEST(WatermarkKvAllocatorTest, SwapEvictRestoresExactFootprint)
 {
-    WatermarkKvAllocator kv(10, 16, 0.0, PreemptMode::kSwap);
+    KvAllocator kv(KvPolicy::kWatermark, 10, 16, 0.0, PreemptMode::kSwap);
     RequestState state = MakeState(0, 48, 64);  // 3 blocks
     ASSERT_TRUE(kv.TryAdmit(state));
     state.phase = Phase::kRunning;
@@ -143,13 +145,14 @@ TEST(WatermarkKvAllocatorTest, SwapEvictRestoresExactFootprint)
 
 TEST(WatermarkKvAllocatorTest, WatermarkHeadroomTracksFreePool)
 {
-    WatermarkKvAllocator kv(100, 16, 0.10, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 100, 16, 0.10,
+                   PreemptMode::kRecompute);
     EXPECT_DOUBLE_EQ(kv.WatermarkHeadroom(), 0.90);
     RequestState state = MakeState(0, 1280, 16);  // 80 blocks
     ASSERT_TRUE(kv.TryAdmit(state));
     EXPECT_NEAR(kv.WatermarkHeadroom(), 0.10, 1e-12);
 
-    ConservativeKvAllocator conservative(100, 16);
+    KvAllocator conservative(KvPolicy::kConservative, 100, 16);
     EXPECT_DOUBLE_EQ(conservative.WatermarkHeadroom(), 1.0);
 }
 
@@ -321,8 +324,6 @@ BruteForceExpectations(const ServingEngine& engine,
 {
     const auto& states = engine.States();
     const KvAllocator& alloc = engine.Allocator();
-    const auto* watermark =
-        dynamic_cast<const WatermarkKvAllocator*>(&alloc);
     int waiting = 0;
     int running = 0;
     int preempted = 0;
@@ -349,8 +350,8 @@ BruteForceExpectations(const ServingEngine& engine,
             pending_blocks += alloc.BlocksFor(state.PrefillTarget());
         } else if (state.phase == Phase::kPreemptedSwapped) {
             ++preempted;
-            ASSERT_NE(watermark, nullptr);
-            pending_blocks += watermark->SwappedBlocks(state.request.id);
+            ASSERT_EQ(alloc.preempt_mode(), PreemptMode::kSwap);
+            pending_blocks += alloc.SwappedBlocks(state.request.id);
         } else {
             if (state.request.arrival_time <= engine.Now()) ++waiting;
             pending_blocks += alloc.BlocksFor(

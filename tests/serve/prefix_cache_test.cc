@@ -2,20 +2,23 @@
  * @file
  * Unit tests for the shared-prefix KV reuse subsystem
  * (docs/DESIGN.md S2.6): chained block hashing, the radix prefix
- * cache's match/insert/split/evict mechanics, the prefix-caching
- * allocator's admission accounting, and a randomized copy-on-write
- * oracle that audits every ledger invariant after every operation.
+ * cache's match/insert/split/evict mechanics, the KV allocator's
+ * prefix-cache admission accounting, and a randomized lifecycle
+ * oracle that audits every ledger invariant after every operation,
+ * in each allocator configuration (conservative or watermark, swap
+ * or recompute, with or without the prefix cache).
  */
 #include "serve/prefix/prefix_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
+#include "serve/kv_allocator.h"
 #include "serve/prefix/block_hash.h"
-#include "serve/prefix/prefix_allocator.h"
 
 namespace pod::serve::prefix {
 namespace {
@@ -280,12 +283,13 @@ TEST(PrefixCacheDeathTest, DoubleAcquireIsFatal)
 
 // ---- prefix-caching allocator ----
 
-std::unique_ptr<PrefixCachingKvAllocator>
+std::unique_ptr<KvAllocator>
 WatermarkAlloc(long total_blocks, double watermark = 0.0)
 {
-    return std::make_unique<PrefixCachingKvAllocator>(
-        KvPolicy::kWatermark, total_blocks, kBlock, watermark,
-        PreemptMode::kRecompute);
+    return std::make_unique<KvAllocator>(KvPolicy::kWatermark,
+                                         total_blocks, kBlock, watermark,
+                                         PreemptMode::kRecompute,
+                                         /*prefix_cache_enabled=*/true);
 }
 
 TEST(PrefixAllocatorTest, SecondAdmissionHitsTheCachedPrefix)
@@ -304,7 +308,7 @@ TEST(PrefixAllocatorTest, SecondAdmissionHitsTheCachedPrefix)
     alloc->OnPrefillComplete(sa);
     // 6 full blocks promoted to shared; the partial tail block stays
     // private.
-    EXPECT_EQ(alloc->Cache().TotalBlocks(), 6);
+    EXPECT_EQ(alloc->Cache()->TotalBlocks(), 6);
     EXPECT_EQ(alloc->Held(1), alloc->BlocksFor(100) - 6);
     alloc->AuditLedger();
 
@@ -313,11 +317,11 @@ TEST(PrefixAllocatorTest, SecondAdmissionHitsTheCachedPrefix)
     // b shares the 4 system-prompt blocks; its 5th block diverges.
     EXPECT_EQ(alloc->LastAdmitCachedTokens(), 4 * kBlock);
     EXPECT_EQ(alloc->Held(2), alloc->BlocksFor(100) - 4);
-    const PrefixCacheStats* stats = alloc->PrefixStats();
-    ASSERT_NE(stats, nullptr);
-    EXPECT_EQ(stats->hits, 1);
-    EXPECT_EQ(stats->misses, 1);
-    EXPECT_EQ(stats->prefill_tokens_saved, 4 * kBlock);
+    ASSERT_NE(alloc->Cache(), nullptr);
+    const PrefixCacheStats& stats = alloc->Cache()->Stats();
+    EXPECT_EQ(stats.hits, 1);
+    EXPECT_EQ(stats.misses, 1);
+    EXPECT_EQ(stats.prefill_tokens_saved, 4 * kBlock);
     alloc->AuditLedger();
 
     // Both done: every block either returns to the pool or stays
@@ -325,7 +329,7 @@ TEST(PrefixAllocatorTest, SecondAdmissionHitsTheCachedPrefix)
     alloc->Release(1);
     alloc->Release(2);
     alloc->AuditLedger();
-    EXPECT_EQ(alloc->FreeBlocks() + alloc->Cache().TotalBlocks(),
+    EXPECT_EQ(alloc->FreeBlocks() + alloc->Cache()->TotalBlocks(),
               alloc->TotalBlocks());
 }
 
@@ -364,13 +368,13 @@ TEST(PrefixAllocatorTest, AdmissionGateEvictsDeadCacheBlocks)
     alloc->OnPrefillComplete(sa);
     alloc->Release(1);
     alloc->AuditLedger();
-    EXPECT_EQ(alloc->Cache().TotalBlocks(), 6);
+    EXPECT_EQ(alloc->Cache()->TotalBlocks(), 6);
     ASSERT_EQ(alloc->FreeBlocks(), 6);
 
     Request b = SegmentedRequest(2, {{ContentId("other", 1), 160}}, 8);
     RequestState sb = QueuedState(b);
     ASSERT_TRUE(alloc->TryAdmit(sb));  // needs 10 of 12 blocks
-    EXPECT_GE(alloc->PrefixStats()->evicted_blocks, 4);
+    EXPECT_GE(alloc->Cache()->Stats().evicted_blocks, 4);
     alloc->AuditLedger();
 }
 
@@ -393,8 +397,8 @@ TEST(PrefixAllocatorTest, RecomputeReadmissionRematchesItsOwnBlocks)
     sa.recompute_extra = sa.decoded;
     sa.prefilled = 0;
     alloc->AuditLedger();
-    EXPECT_EQ(alloc->Cache().TotalBlocks(), 6);
-    EXPECT_EQ(alloc->Cache().EvictableBlocks(), 6);
+    EXPECT_EQ(alloc->Cache()->TotalBlocks(), 6);
+    EXPECT_EQ(alloc->Cache()->EvictableBlocks(), 6);
 
     // Re-admission hits its own still-cached prompt.
     ASSERT_TRUE(alloc->TryAdmit(sa));
@@ -406,13 +410,14 @@ TEST(PrefixAllocatorTest, RecomputeReadmissionRematchesItsOwnBlocks)
     sa.prefilled = sa.PrefillTarget();
     alloc->OnPrefillComplete(sa);
     alloc->AuditLedger();
-    EXPECT_EQ(alloc->Cache().TotalBlocks(), 6);
+    EXPECT_EQ(alloc->Cache()->TotalBlocks(), 6);
 }
 
 TEST(PrefixAllocatorDeathTest, SwapPreemptionIsRejected)
 {
-    EXPECT_EXIT(PrefixCachingKvAllocator(KvPolicy::kWatermark, 64, kBlock,
-                                         0.01, PreemptMode::kSwap),
+    EXPECT_EXIT(KvAllocator(KvPolicy::kWatermark, 64, kBlock, 0.01,
+                            PreemptMode::kSwap,
+                            /*prefix_cache_enabled=*/true),
                 ::testing::ExitedWithCode(1), "FATAL");
     auto alloc = WatermarkAlloc(64);
     Request a = SegmentedRequest(1, {{ContentId("sys", 1), 64}});
@@ -422,25 +427,58 @@ TEST(PrefixAllocatorDeathTest, SwapPreemptionIsRejected)
                 ::testing::ExitedWithCode(1), "FATAL");
 }
 
-// ---- randomized copy-on-write oracle ----
+// ---- randomized lifecycle oracle ----
+
+/** Blocks in the allocator's prefix cache (0 without one). */
+long
+CachedBlocks(const KvAllocator& alloc)
+{
+    return alloc.Cache() != nullptr ? alloc.Cache()->TotalBlocks() : 0;
+}
 
 /**
- * Drives the watermark+prefix allocator through the full request
- * lifecycle with randomized shared-prefix prompts, preemptions and
- * cache churn on a small pool, auditing every cross-structure
- * invariant after every single operation: the pool ledger (private +
- * shared + free == capacity, no leak / double-free possible), the
- * radix tree's incremental counters, the cache-vs-shared-account
- * lockstep, and per-request coverage.
+ * Sum every request's private blocks and check that each running
+ * request's private plus cache-referenced blocks cover its
+ * materialized context. Returns the private total.
  */
-TEST(PrefixCowOracleTest, RandomizedLifecycleNeverLeaksOrDoubleFrees)
+long
+AuditRequests(const KvAllocator& alloc,
+              const std::vector<RequestState>& states)
+{
+    long held = 0;
+    for (const RequestState& s : states) {
+        const long own = alloc.Held(s.request.id);
+        held += own;
+        if (!s.Admitted()) continue;
+        const long cover = alloc.Cache() != nullptr
+                               ? alloc.Cache()->RefBlocks(s.request.id)
+                               : 0;
+        EXPECT_GE(own + cover, alloc.BlocksFor(s.ContextLen()))
+            << "request " << s.request.id;
+    }
+    return held;
+}
+
+/**
+ * Drives a watermark allocator through the full request lifecycle
+ * with randomized shared-prefix prompts, preemptions in `mode` and
+ * (with the prefix cache) cache churn on a small pool, auditing every
+ * cross-structure invariant after every single operation: the pool
+ * ledger (private + shared + free == capacity, no leak / double-free
+ * possible), swapped requests holding nothing on-device, and with the
+ * cache the radix tree's incremental counters, the cache-vs-shared-
+ * account lockstep, and per-request coverage.
+ */
+void
+RunWatermarkLifecycle(PreemptMode mode, bool prefix_cache)
 {
     constexpr long kPool = 48;
     constexpr int kRequests = 40;
     constexpr int kSteps = 12000;
 
     Rng rng(0xC0117E57);
-    auto alloc = WatermarkAlloc(kPool, 0.05);
+    KvAllocator alloc(KvPolicy::kWatermark, kPool, kBlock, 0.05, mode,
+                      prefix_cache);
 
     // Prompts: Zipf-ish choice over 3 shared system prompts (or a
     // unique preamble), plus a unique user tail. Sizes keep every
@@ -460,19 +498,27 @@ TEST(PrefixCowOracleTest, RandomizedLifecycleNeverLeaksOrDoubleFrees)
         Request r = SegmentedRequest(i, std::move(segments),
                                      rng.UniformInt(4, 48));
         states.push_back(QueuedState(r));
-        alloc->CheckFits(states.back());
+        alloc.CheckFits(states.back());
     }
 
     auto audit = [&]() {
-        alloc->AuditLedger();
-        long held = 0;
-        for (const RequestState& s : states) {
-            held += alloc->Held(s.request.id);
-        }
+        alloc.AuditLedger();
         // Conservation: private + cached + free == capacity.
-        ASSERT_EQ(held + alloc->Cache().TotalBlocks() +
-                      alloc->FreeBlocks(),
-                  alloc->TotalBlocks());
+        ASSERT_EQ(AuditRequests(alloc, states) + CachedBlocks(alloc) +
+                      alloc.FreeBlocks(),
+                  alloc.TotalBlocks());
+    };
+    // Evict like the scheduler: recompute restarts the context's
+    // prefill, swap keeps its progress.
+    auto preempt = [&](RequestState& v) {
+        alloc.Evict(v, mode);
+        if (mode == PreemptMode::kSwap) {
+            v.phase = Phase::kPreemptedSwapped;
+        } else {
+            v.phase = Phase::kPreemptedRecompute;
+            v.recompute_extra = v.decoded;
+            v.prefilled = 0;
+        }
     };
 
     int finished = 0;
@@ -483,11 +529,11 @@ TEST(PrefixCowOracleTest, RandomizedLifecycleNeverLeaksOrDoubleFrees)
             rng.UniformInt(0, kRequests - 1))];
         if (s.Finished()) continue;
 
-        if (s.phase == Phase::kQueued ||
-            s.phase == Phase::kPreemptedRecompute) {
-            if (alloc->TryAdmit(s)) {
+        if (!s.Admitted()) {
+            if (alloc.TryAdmit(s)) {
                 s.phase = Phase::kRunning;
-                s.prefilled = alloc->LastAdmitCachedTokens();
+                int cached = alloc.LastAdmitCachedTokens();
+                if (cached > 0) s.prefilled = cached;
             } else {
                 ++admit_failures;
             }
@@ -496,20 +542,17 @@ TEST(PrefixCowOracleTest, RandomizedLifecycleNeverLeaksOrDoubleFrees)
             s.prefilled = std::min(
                 s.PrefillTarget(),
                 s.prefilled + static_cast<int>(rng.UniformInt(8, 48)));
-            if (s.PrefillDone()) alloc->OnPrefillComplete(s);
+            if (s.PrefillDone()) alloc.OnPrefillComplete(s);
         } else if (rng.Bernoulli(0.1)) {
             // Random preemption, like the scheduler under pressure.
-            alloc->Evict(s, PreemptMode::kRecompute);
-            s.phase = Phase::kPreemptedRecompute;
-            s.recompute_extra = s.decoded;
-            s.prefilled = 0;
+            preempt(s);
             ++preemptions;
         } else if (s.decoded < s.request.decode_tokens) {
-            if (alloc->CanAppend(s)) {
-                alloc->Append(s);
+            if (alloc.CanAppend(s)) {
+                alloc.Append(s);
                 ++s.decoded;
                 if (s.decoded >= s.request.decode_tokens) {
-                    alloc->Release(s.request.id);
+                    alloc.Release(s.request.id);
                     s.phase = Phase::kFinished;
                     ++finished;
                 }
@@ -520,13 +563,8 @@ TEST(PrefixCowOracleTest, RandomizedLifecycleNeverLeaksOrDoubleFrees)
                     if (v.Admitted()) running.push_back(&v);
                 }
                 ASSERT_FALSE(running.empty());
-                RequestState* victim = running[static_cast<size_t>(
-                    rng.UniformInt(0,
-                                   static_cast<int>(running.size()) - 1))];
-                alloc->Evict(*victim, PreemptMode::kRecompute);
-                victim->phase = Phase::kPreemptedRecompute;
-                victim->recompute_extra = victim->decoded;
-                victim->prefilled = 0;
+                preempt(*running[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int>(running.size()) - 1))]);
                 ++preemptions;
             }
         }
@@ -536,32 +574,36 @@ TEST(PrefixCowOracleTest, RandomizedLifecycleNeverLeaksOrDoubleFrees)
     // The workload must actually have exercised the contended paths.
     EXPECT_GT(finished, kRequests / 2);
     EXPECT_GT(preemptions + admit_failures, 0);
-    EXPECT_GT(alloc->PrefixStats()->hits, 0);
+    if (prefix_cache) {
+        EXPECT_GT(alloc.Cache()->Stats().hits, 0);
+    }
 
     // Drain everything still holding blocks.
     for (RequestState& s : states) {
         if (s.Admitted()) {
-            alloc->Release(s.request.id);
+            alloc.Release(s.request.id);
             s.phase = Phase::kFinished;
         }
         audit();
     }
     // Only cached (refcount-0) blocks remain in use; all evictable.
-    EXPECT_EQ(alloc->FreeBlocks() + alloc->Cache().TotalBlocks(),
-              alloc->TotalBlocks());
-    EXPECT_EQ(alloc->Cache().EvictableBlocks(),
-              alloc->Cache().TotalBlocks());
+    EXPECT_EQ(alloc.FreeBlocks() + CachedBlocks(alloc), alloc.TotalBlocks());
+    if (prefix_cache) {
+        EXPECT_EQ(alloc.Cache()->EvictableBlocks(),
+                  alloc.Cache()->TotalBlocks());
+    }
 }
 
-/** Same oracle shape under the conservative base: no preemption, no
- * watermark, full up-front reservations. */
-TEST(PrefixCowOracleTest, ConservativeBaseLifecycle)
+/** The same oracle shape under the conservative policy: no
+ * preemption, no watermark, full up-front reservations. */
+void
+RunConservativeLifecycle(bool prefix_cache)
 {
     constexpr long kPool = 40;
     constexpr int kRequests = 24;
     Rng rng(0x5EED);
-    PrefixCachingKvAllocator alloc(KvPolicy::kConservative, kPool, kBlock,
-                                   0.0, PreemptMode::kRecompute);
+    KvAllocator alloc(KvPolicy::kConservative, kPool, kBlock, 0.0,
+                      PreemptMode::kRecompute, prefix_cache);
 
     std::vector<RequestState> states;
     for (int i = 0; i < kRequests; ++i) {
@@ -599,15 +641,39 @@ TEST(PrefixCowOracleTest, ConservativeBaseLifecycle)
             }
         }
         alloc.AuditLedger();
-        long held = 0;
-        for (const RequestState& v : states) {
-            held += alloc.Held(v.request.id);
-        }
-        ASSERT_EQ(held + alloc.Cache().TotalBlocks() + alloc.FreeBlocks(),
+        ASSERT_EQ(AuditRequests(alloc, states) + CachedBlocks(alloc) +
+                      alloc.FreeBlocks(),
                   alloc.TotalBlocks());
     }
     EXPECT_EQ(finished, kRequests);
-    EXPECT_GT(alloc.PrefixStats()->hits, 0);
+    if (prefix_cache) {
+        EXPECT_GT(alloc.Cache()->Stats().hits, 0);
+    }
+}
+
+TEST(PrefixCowOracleTest, RandomizedLifecycleNeverLeaksOrDoubleFrees)
+{
+    RunWatermarkLifecycle(PreemptMode::kRecompute, /*prefix_cache=*/true);
+}
+
+TEST(PrefixCowOracleTest, ConservativeBaseLifecycle)
+{
+    RunConservativeLifecycle(/*prefix_cache=*/true);
+}
+
+TEST(PrefixCowOracleTest, WatermarkRecomputeLifecycle)
+{
+    RunWatermarkLifecycle(PreemptMode::kRecompute, /*prefix_cache=*/false);
+}
+
+TEST(PrefixCowOracleTest, WatermarkSwapLifecycle)
+{
+    RunWatermarkLifecycle(PreemptMode::kSwap, /*prefix_cache=*/false);
+}
+
+TEST(PrefixCowOracleTest, ConservativeLifecycle)
+{
+    RunConservativeLifecycle(/*prefix_cache=*/false);
 }
 
 }  // namespace

@@ -67,8 +67,8 @@ RunEngine(ServingConfig config, const std::vector<Request>& trace,
 TEST(PrefixServingTest, OpaquePromptsKeepEveryPolicyBitIdentical)
 {
     // The PR-3/5 golden traces have opaque prompts, so the cache can
-    // never hit; with the clamp-to-miss admission path the wrapped
-    // allocator must reproduce the plain policies exactly. Paired
+    // never hit; with the clamp-to-miss admission path the allocator
+    // must reproduce its cacheless configuration exactly. Paired
     // with the untouched golden regression suites, this pins
     // prefix_cache_enabled=false AND =true to pre-PR behaviour on
     // legacy workloads.
@@ -84,7 +84,7 @@ TEST(PrefixServingTest, OpaquePromptsKeepEveryPolicyBitIdentical)
         {KvPolicy::kWatermark, true, 0.9},
         // Shrunken pool: the watermark path preempts (golden
         // preemption regime), exercising Evict/re-admit with the
-        // cache wrapped around it.
+        // cache on.
         {KvPolicy::kWatermark, true, 0.1},
     };
     for (const Case& c : cases) {

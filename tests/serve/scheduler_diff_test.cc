@@ -361,8 +361,8 @@ MakeWorld(const Scenario& sc, bool reference)
 {
     World w;
     w.scheduler = MakeScheduler(sc, reference);
-    w.kv = MakeKvAllocator(sc.policy, sc.blocks, 16, 0.01, sc.mode,
-                           sc.prefix);
+    w.kv = std::make_unique<KvAllocator>(sc.policy, sc.blocks, 16, 0.01,
+                                         sc.mode, sc.prefix);
     return w;
 }
 

@@ -8,10 +8,10 @@
  * incremental-accounting refactor (running counters, finished-prefix
  * index) must not change a single scheduling or timing decision.
  *
- * The KvAllocator redesign (PR 5) routes these runs through
- * ConservativeKvAllocator — the default policy — which must
- * reproduce the same goldens: the lifecycle API is
- * behaviour-preserving until the watermark policy is opted into.
+ * The KvAllocator redesign (PR 5) routes these runs through the
+ * conservative KV policy — the default — which must reproduce the
+ * same goldens: the lifecycle API is behaviour-preserving until the
+ * watermark policy is opted into.
  * ConservativePolicyIsDefaultAndGolden pins that explicitly.
  *
  * Since PR 8 the exact goldens pin the EngineCore::kExactOracle sim
@@ -130,7 +130,8 @@ TEST(ServeRegressionTest, ConservativePolicyIsDefaultAndGolden)
     EXPECT_EQ(m.preemptions_swap, 0l);
     EXPECT_EQ(m.requests_preempted, 0);
     EXPECT_EQ(m.swap_time_total, 0.0);
-    EXPECT_EQ(engine.Allocator().Name(), "conservative");
+    EXPECT_EQ(engine.Allocator().policy(), KvPolicy::kConservative);
+    EXPECT_EQ(engine.Allocator().Cache(), nullptr);
 }
 
 /**

@@ -134,7 +134,7 @@ MakeStates(const std::vector<Request>& requests)
 
 TEST(VllmSchedulerTest, PrefillPriorityPausesDecodes)
 {
-    ConservativeKvAllocator kv(100000, 16);
+    KvAllocator kv(KvPolicy::kConservative, 100000, 16);
     auto states = MakeStates(UniformTrace(2, 1000, 10));
     VllmScheduler sched;
 
@@ -165,7 +165,7 @@ TEST(VllmSchedulerTest, PrefillPriorityPausesDecodes)
 
 TEST(SarathiSchedulerTest, BudgetSharedBetweenDecodesAndChunk)
 {
-    ConservativeKvAllocator kv(100000, 16);
+    KvAllocator kv(KvPolicy::kConservative, 100000, 16);
     auto states = MakeStates(UniformTrace(3, 2000, 50));
     // Requests 1,2 already decoding; request 0 waiting to prefill.
     states[1].prefilled = 2000;
@@ -184,7 +184,7 @@ TEST(SarathiSchedulerTest, BudgetSharedBetweenDecodesAndChunk)
 
 TEST(SarathiSchedulerTest, MultipleChunksFillBudget)
 {
-    ConservativeKvAllocator kv(100000, 16);
+    KvAllocator kv(KvPolicy::kConservative, 100000, 16);
     auto states = MakeStates(UniformTrace(3, 300, 10));
     SarathiScheduler sched(1024);
     ScheduledBatch batch = sched.Next(0.0, states, kv, 0).batch;
@@ -196,7 +196,7 @@ TEST(SarathiSchedulerTest, MultipleChunksFillBudget)
 TEST(SarathiSchedulerTest, AdmissionBlocksOnKv)
 {
     // Pool fits only the first request (prompt+decode reservation).
-    ConservativeKvAllocator kv(70, 16);  // 1120 tokens
+    KvAllocator kv(KvPolicy::kConservative, 70, 16);  // 1120 tokens
     auto states = MakeStates(UniformTrace(2, 1000, 100));
     SarathiScheduler sched(512);
     SchedulingDecision decision = sched.Next(0.0, states, kv, 0);
@@ -209,7 +209,7 @@ TEST(SarathiSchedulerTest, AdmissionBlocksOnKv)
 
 TEST(SchedulerTest, FutureArrivalsInvisible)
 {
-    ConservativeKvAllocator kv(100000, 16);
+    KvAllocator kv(KvPolicy::kConservative, 100000, 16);
     std::vector<Request> reqs = UniformTrace(1, 100, 10);
     reqs[0].arrival_time = 50.0;
     auto states = MakeStates(reqs);
