@@ -184,7 +184,7 @@ AddReportRow(Table& table, int replicas,
         kv_peak = std::max(kv_peak, u.kv_peak);
     }
     table.AddRow({Table::Int(replicas), report.router,
-                  Table::Num(report.fleet.requests_per_minute, 1),
+                  Table::Num(report.fleet.RequestsPerMinute(), 1),
                   Table::Num(report.fleet.ttft.Percentile(50), 2),
                   Table::Num(report.fleet.ttft.Percentile(99), 2),
                   Table::Num(report.fleet.tbt.Percentile(99) * 1e3, 1),
@@ -280,7 +280,7 @@ ReportsBitIdentical(const ClusterMetricsReport& a,
 {
     return a.fleet.makespan == b.fleet.makespan &&
            a.fleet.iterations == b.fleet.iterations &&
-           a.fleet.requests_per_minute == b.fleet.requests_per_minute &&
+           a.fleet.RequestsPerMinute() == b.fleet.RequestsPerMinute() &&
            a.fleet.ttft.Sum() == b.fleet.ttft.Sum() &&
            a.fleet.tbt.Sum() == b.fleet.tbt.Sum();
 }
@@ -557,7 +557,7 @@ main(int argc, char** argv)
                     RunFleet(trace, replicas, router, threads);
                 report.workload = spec.name;
                 rpm[spec.name][replicas][router] =
-                    report.fleet.requests_per_minute;
+                    report.fleet.RequestsPerMinute();
                 AddReportRow(table, replicas, report);
             }
         }

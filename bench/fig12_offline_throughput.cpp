@@ -58,7 +58,7 @@ main()
                 sched = std::make_unique<SarathiScheduler>(def.chunk);
             }
             ServingEngine engine(config, std::move(sched));
-            rpm[sys] = engine.Run(trace).requests_per_minute;
+            rpm[sys] = engine.Run(trace).RequestsPerMinute();
         }
         t.AddRow({def.model.name, Table::Num(rpm[0], 1),
                   Table::Num(rpm[1], 1), Table::Num(rpm[2], 1),

@@ -39,7 +39,7 @@ main()
                 sys == 1 ? core::Backend::kPod : core::Backend::kFaSerial;
             ServingEngine engine(config,
                                  std::make_unique<SarathiScheduler>(1024));
-            rpm[sys] = engine.Run(trace).requests_per_minute;
+            rpm[sys] = engine.Run(trace).RequestsPerMinute();
         }
         double gain = rpm[1] / rpm[0] - 1.0;
         if (gain > best_gain) {

@@ -72,7 +72,7 @@ EstimateCapacityQps(const serve::WorkloadSpec& spec, int chunk,
     auto probe = serve::GenerateTrace(spec, probe_requests, 0.0, rng);
     OnlineSystem sarathi{"probe", core::Backend::kFaSerial, false, chunk};
     serve::MetricsReport report = RunOnlineSystem(sarathi, probe);
-    return report.requests_per_minute / 60.0;
+    return report.RequestsPerMinute() / 60.0;
 }
 
 /** Print one QPS block of the paper's online-latency tables. */
@@ -93,8 +93,8 @@ PrintOnlineBlock(const serve::WorkloadSpec& spec, double qps, int chunk,
                   Table::Num(r.tbt.Percentile(99), 3),
                   Table::Num(r.latency.Percentile(50), 2),
                   Table::Num(r.latency.Percentile(99), 2),
-                  Table::Pct(r.frac_stalled_200ms),
-                  Table::Pct(r.frac_stalled_500ms)});
+                  Table::Pct(r.FracStalled200ms()),
+                  Table::Pct(r.FracStalled500ms())});
     }
     std::printf("QPS %.2f (%d requests):\n", qps, requests);
     t.Print(std::cout);

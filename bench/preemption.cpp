@@ -93,13 +93,13 @@ AddRow(Table& table, const Policy& policy, double qps, double watermark,
 {
     table.AddRow(
         {policy.name, Table::Num(qps, 1), Table::Pct(watermark),
-         Table::Num(report.requests_per_minute, 1),
+         Table::Num(report.RequestsPerMinute(), 1),
          Table::Num(report.ttft.Percentile(50), 2),
          Table::Num(report.ttft.Percentile(99), 2),
          Table::Num(report.tbt.Percentile(99) * 1e3, 1),
          Table::Int(static_cast<int>(report.preemptions)),
          Table::Num(engine.Counters().swap_time_total, 3),
-         Table::Pct(report.frac_stalled_200ms)});
+         Table::Pct(report.FracStalled200ms())});
 }
 
 }  // namespace

@@ -32,7 +32,9 @@
  *     hit rate.
  *
  * `--json-out PATH` dumps the prefix-affinity fleet's metric
- * registry plus the bench-level gate readings (bench.prefix.*).
+ * registry plus the bench-level gate readings (bench.prefix.*);
+ * `--trace-out PATH` writes that fleet run's sim-time Chrome trace
+ * (docs/OBSERVABILITY.md).
  */
 #include <cstdio>
 #include <cstring>
@@ -120,7 +122,7 @@ RunReplica(const std::vector<Request>& trace, bool prefix_on,
     r.hit_rate = lookups > 0 ? static_cast<double>(report.prefix_hits) /
                                    static_cast<double>(lookups)
                              : 0.0;
-    r.rpm = report.requests_per_minute;
+    r.rpm = report.RequestsPerMinute();
     for (const Request& req : trace) {
         r.prefill_submitted += req.prefill_tokens;
     }
@@ -145,9 +147,12 @@ PdRatio(const RunResult& r)
            static_cast<double>(r.decode_processed);
 }
 
+/** Run the fleet; a non-empty `trace_out` records and writes its
+ * sim-time trace. */
 cluster::ClusterMetricsReport
 RunFleet(const std::vector<Request>& trace,
-         std::unique_ptr<cluster::Router> router, int replicas)
+         std::unique_ptr<cluster::Router> router, int replicas,
+         const std::string& trace_out = "")
 {
     ServingConfig config = BaseConfig();
     config.prefix_cache_enabled = true;
@@ -155,7 +160,14 @@ RunFleet(const std::vector<Request>& trace,
         cluster::ClusterConfig::Homogeneous(config, replicas),
         [](int) { return std::make_unique<SarathiScheduler>(kChunk); },
         std::move(router));
-    return fleet.Run(trace);
+    if (!trace_out.empty()) fleet.EnableTracing();
+    cluster::ClusterMetricsReport report = fleet.Run(trace);
+    if (!trace_out.empty()) {
+        WriteOutputFile(trace_out, [&](std::ostream& out) {
+            fleet.WriteChromeTrace(out);
+        });
+    }
+    return report;
 }
 
 }  // namespace
@@ -277,15 +289,16 @@ main(int argc, char** argv)
     std::vector<std::string> routers = {"least-kv", "prefix-affinity"};
     if (!smoke) routers.insert(routers.begin(), "round-robin");
     for (const std::string& name : routers) {
+        const bool affinity = name == "prefix-affinity";
         std::unique_ptr<cluster::Router> router =
-            name == "prefix-affinity"
-                ? std::make_unique<cluster::PrefixAffinityRouter>(
-                      BaseConfig().kv_block_size)
-                : cluster::MakeRouter(name);
+            affinity ? std::make_unique<cluster::PrefixAffinityRouter>(
+                           BaseConfig().kv_block_size)
+                     : cluster::MakeRouter(name);
         cluster::ClusterMetricsReport report =
-            RunFleet(fleet_trace, std::move(router), replicas);
+            RunFleet(fleet_trace, std::move(router), replicas,
+                     affinity ? telemetry.trace_out : "");
         if (name == "least-kv") least_kv_hit_rate = report.PrefixHitRate();
-        if (name == "prefix-affinity") {
+        if (affinity) {
             affinity_hit_rate = report.PrefixHitRate();
             affinity_report = report;
         }
@@ -293,7 +306,7 @@ main(int argc, char** argv)
             {name, Table::Pct(report.PrefixHitRate()),
              Table::Int(report.prefix_tokens_saved),
              Table::Int(report.prefill_tokens_processed),
-             Table::Num(report.fleet.requests_per_minute, 1)});
+             Table::Num(report.fleet.RequestsPerMinute(), 1)});
     }
     std::printf("Router comparison (%d replicas, prefix cache ON, "
                 "%zu requests):\n\n",

@@ -77,8 +77,8 @@ main(int argc, char** argv)
             per_replica.AddRow(
                 {Table::Int(r),
                  cluster.Replica(r).Config().gpu.name,
-                 Table::Int(util.requests_routed),
-                 Table::Num(metrics.requests_per_minute, 1),
+                 Table::Int(metrics.num_requests),
+                 Table::Num(metrics.RequestsPerMinute(), 1),
                  Table::Num(metrics.ttft.Percentile(99), 2),
                  Table::Num(util.busy_time, 1),
                  Table::Pct(util.kv_peak)});
@@ -87,7 +87,7 @@ main(int argc, char** argv)
         std::printf("fleet: %.1f req/min, TTFT P50/P99 %.2f/%.2f s, "
                     "TBT P99 %.0f ms, request imbalance CV %.3f, "
                     "token imbalance CV %.3f\n\n",
-                    report.fleet.requests_per_minute,
+                    report.fleet.RequestsPerMinute(),
                     report.fleet.ttft.Percentile(50),
                     report.fleet.ttft.Percentile(99),
                     report.fleet.tbt.Percentile(99) * 1e3,

@@ -89,7 +89,7 @@ main()
                              std::make_unique<SarathiScheduler>(512));
         MetricsReport report = engine.Run(trace);
         table.AddRow({point.label,
-                      Table::Num(report.requests_per_minute, 1),
+                      Table::Num(report.RequestsPerMinute(), 1),
                       Table::Num(report.ttft.Percentile(50), 2),
                       Table::Num(report.ttft.Percentile(99), 2),
                       Table::Num(report.tbt.Percentile(99) * 1e3, 1),

@@ -56,11 +56,11 @@ main(int argc, char** argv)
         }
         ServingEngine engine(config, std::move(sched));
         MetricsReport report = engine.Run(trace);
-        table.AddRow({sys.name, Table::Num(report.requests_per_minute, 1),
+        table.AddRow({sys.name, Table::Num(report.RequestsPerMinute(), 1),
                       Table::Num(report.makespan, 1),
                       Table::Int(report.iterations),
                       Table::Num(report.tbt.Percentile(99) * 1e3, 1),
-                      Table::Pct(report.frac_stalled_200ms)});
+                      Table::Pct(report.FracStalled200ms())});
     }
     std::printf("Offline serving, Llama-3-8B TP-2, %d requests "
                 "(16K prefill + 1K decode each):\n\n",

@@ -113,23 +113,15 @@ ClusterEngine::EnableProfiling(bool on)
 }
 
 void
-ClusterEngine::AdvanceReplica(size_t r, double horizon,
-                              ReplicaAccum& accum)
+ClusterEngine::AdvanceReplica(size_t r, double horizon)
 {
     // Strictly-before: an event *at* the horizon belongs after the
     // routing decision, matching the serial loop's
     // `arrival_time <= t_step` routing condition. The replica touches
-    // only its own engine and accumulator, so this body is race-free
-    // and schedule-independent by construction.
+    // only its own engine, so this body is race-free and
+    // schedule-independent by construction.
     serve::ServingEngine& replica = replicas_[r];
-    while (replica.NextEventTime() < horizon) {
-        serve::StepResult result = replica.Step();
-        if (!result.progressed) continue;
-        accum.busy_time += result.duration;
-        accum.kv_peak = std::max(accum.kv_peak, result.kv_utilization);
-        accum.kv_util_sum += result.kv_utilization;
-        accum.kv_util_samples += 1;
-    }
+    while (replica.NextEventTime() < horizon) replica.Step();
 }
 
 ClusterMetricsReport
@@ -154,7 +146,6 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
     }
     const double run_start = prof ? telemetry::WallSeconds() : 0.0;
 
-    std::vector<ReplicaAccum> accum(num_replicas);
     // A snapshot and a next-event time are functions of their
     // engine's state alone, which only Step() and Submit() change, so
     // both are kept across arrivals and re-taken only after their
@@ -207,7 +198,7 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                 static_cast<int>(advance_order_.size()), [&](int i) {
                     const size_t r =
                         advance_order_[static_cast<size_t>(i)];
-                    AdvanceReplica(r, horizon, accum[r]);
+                    AdvanceReplica(r, horizon);
                 });
             if (prof) {
                 profile_.advance.Accumulate(t0);
@@ -246,57 +237,42 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
     for (auto& replica : replicas_) POD_ASSERT(replica.Done());
 
     // ---- assemble the report (serial; after the final barrier) ----
-    std::vector<ReplicaUtilization> util(num_replicas);
-    for (size_t r = 0; r < num_replicas; ++r) {
-        util[r].busy_time = accum[r].busy_time;
-        util[r].tokens_processed = replicas_[r].TotalBatchTokens();
-        util[r].kv_peak = accum[r].kv_peak;
-        util[r].requests_routed =
-            static_cast<int>(replicas_[r].States().size());
-    }
-
     ClusterMetricsReport report;
     report.router = router_->Name();
     report.num_replicas = static_cast<int>(num_replicas);
-    report.utilization = std::move(util);
-
-    std::vector<serve::ReplicaRecords> fleet_records;
-    fleet_records.reserve(num_replicas);
-    double fleet_makespan = 0.0;
-    long fleet_iterations = 0;
-    double fleet_tokens = 0.0;
+    report.per_replica.reserve(num_replicas);
+    report.utilization.reserve(num_replicas);
     std::vector<double> request_counts;
     std::vector<double> token_counts;
     request_counts.reserve(num_replicas);
     token_counts.reserve(num_replicas);
 
-    for (size_t r = 0; r < num_replicas; ++r) {
-        const serve::ServingEngine& replica = replicas_[r];
+    // The fleet report is the sum of the replica reports. Its sample
+    // sets are sized once up front: growing them replica by replica
+    // would hold two copies at every reallocation and raise the peak
+    // RSS of large fleets.
+    size_t ttft_runs = 0, tbt_runs = 0, latency_runs = 0;
+    for (const serve::ServingEngine& replica : replicas_) {
         report.per_replica.push_back(replica.Report());
-        report.utilization[r].kv_mean =
-            accum[r].kv_util_samples > 0
-                ? accum[r].kv_util_sum /
-                      static_cast<double>(accum[r].kv_util_samples)
-                : 0.0;
-        report += report.per_replica[r];
-        report.preemptions += report.per_replica[r].preemptions;
-        fleet_records.push_back({&replica.States(), &replica.Tbt()});
-        fleet_makespan = std::max(fleet_makespan, replica.Now());
-        fleet_iterations += replica.Iterations();
-        fleet_tokens += replica.TotalBatchTokens();
-        request_counts.push_back(
-            static_cast<double>(report.utilization[r].requests_routed));
-        token_counts.push_back(
-            report.utilization[r].tokens_processed);
+        const serve::MetricsReport& m = report.per_replica.back();
+        ttft_runs += m.ttft.Runs().size();
+        tbt_runs += m.tbt.Runs().size();
+        latency_runs += m.latency.Runs().size();
+        report.utilization.push_back({replica.KvPeakUtilization(),
+                                      replica.KvMeanUtilization(),
+                                      replica.BusySeconds()});
     }
-
-    report.fleet = serve::CollectMetrics(fleet_records, fleet_makespan,
-                                         fleet_iterations, fleet_tokens);
+    report.fleet.ttft.Reserve(ttft_runs);
+    report.fleet.tbt.Reserve(tbt_runs);
+    report.fleet.latency.Reserve(latency_runs);
+    for (const serve::MetricsReport& m : report.per_replica) {
+        report.fleet += m;
+        request_counts.push_back(static_cast<double>(m.num_requests));
+        token_counts.push_back(m.batch_tokens);
+    }
     report.fleet.system = router_->Name();
-    // CollectMetrics recovers the per-request preemption counts from
-    // the pooled states; every engine counter lives only in the
-    // engines, so the fleet takes the rollup.
-    static_cast<serve::EngineCounters&>(report.fleet) = report;
+    static_cast<serve::EngineCounters&>(report) = report.fleet;
+    report.preemptions = report.fleet.preemptions;
     for (const auto& table : attn_tables_) {
         report.attn_table_entries += static_cast<long>(table->Size());
     }

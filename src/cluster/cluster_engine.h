@@ -69,8 +69,8 @@ using SchedulerFactory =
  *     worker pool, one task per replica, dispatched longest-first by
  *     pending work tokens (docs/DESIGN.md S8.4).
  *     Replicas never read each other's state, so any thread schedule
- *     produces the same per-replica result; metrics fold into
- *     per-replica buffers, so no write is shared either.
+ *     produces the same per-replica result; every statistic lives in
+ *     its own replica's engine, so no write is shared either.
  *  3. *Barrier route*: after the pool barrier, every replica's
  *     NextEventTime() is >= T — exactly the serial loop's routing
  *     condition — so the router sees the same ReplicaSnapshots the
@@ -114,9 +114,6 @@ class ClusterEngine
         return static_cast<int>(replicas_.size());
     }
 
-    /** Executing threads used by the parallel-advance phase. */
-    int NumThreads() const { return pool_.NumThreads(); }
-
     const serve::ServingEngine& Replica(int index) const;
 
     // ---- observability (docs/OBSERVABILITY.md) ----
@@ -158,23 +155,9 @@ class ClusterEngine
     }
 
   private:
-    /** Per-replica metric accumulation, private to one worker during
-     * the parallel-advance phase and folded into the report after the
-     * final barrier. Padded so neighbouring replicas' buffers never
-     * share a cache line. */
-    struct alignas(64) ReplicaAccum
-    {
-        double busy_time = 0.0;
-        double kv_peak = 0.0;
-        double kv_util_sum = 0.0;
-        long kv_util_samples = 0;
-    };
-
-    /**
-     * Phase 2: advance one replica toward (strictly before) the
-     * horizon, folding step results into its accumulator.
-     */
-    void AdvanceReplica(size_t r, double horizon, ReplicaAccum& accum);
+    /** Phase 2: advance one replica toward (strictly before) the
+     * horizon. */
+    void AdvanceReplica(size_t r, double horizon);
 
     std::vector<serve::ServingEngine> replicas_;
     std::unique_ptr<Router> router_;

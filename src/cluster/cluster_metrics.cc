@@ -38,15 +38,16 @@ FillRegistry(const ClusterMetricsReport& report,
     for (size_t r = 0; r < report.per_replica.size(); ++r) {
         const std::string rp =
             prefix + "replica" + std::to_string(r) + ".";
-        serve::FillRegistry(report.per_replica[r], registry, rp);
+        const serve::MetricsReport& replica = report.per_replica[r];
+        serve::FillRegistry(replica, registry, rp);
         if (r < report.utilization.size()) {
             const ReplicaUtilization& u = report.utilization[r];
             registry.SetGauge(rp + "kv.peak_utilization", u.kv_peak);
             registry.SetGauge(rp + "kv.mean_utilization", u.kv_mean);
             registry.SetGauge(rp + "busy_seconds", u.busy_time);
-            registry.AddCounter(rp + "routed", u.requests_routed);
+            registry.AddCounter(rp + "routed", replica.num_requests);
             registry.SetGauge(rp + "tokens_processed",
-                              u.tokens_processed);
+                              replica.batch_tokens);
         }
     }
 }

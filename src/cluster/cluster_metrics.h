@@ -14,7 +14,11 @@
 
 namespace pod::cluster {
 
-/** Per-replica utilization accumulated while the cluster ran. */
+/**
+ * Per-replica utilization, read from the replica's engine after the
+ * run. Routed requests and processed tokens are the replica report's
+ * num_requests and batch_tokens.
+ */
 struct ReplicaUtilization
 {
     /** Peak KV pool utilization observed after any iteration. */
@@ -25,17 +29,12 @@ struct ReplicaUtilization
 
     /** Total time the replica spent executing iterations (s). */
     double busy_time = 0.0;
-
-    /** Requests routed to this replica. */
-    int requests_routed = 0;
-
-    /** Tokens the replica processed across all iterations. */
-    double tokens_processed = 0.0;
 };
 
 /**
  * Aggregate report of one cluster serving run. The inherited engine
- * counters are the sums of the per-replica reports' counters.
+ * counters are the fleet report's: the sums of the per-replica
+ * reports' counters.
  */
 struct ClusterMetricsReport : serve::EngineCounters
 {
@@ -44,9 +43,10 @@ struct ClusterMetricsReport : serve::EngineCounters
     int num_replicas = 0;
 
     /**
-     * Fleet-wide metrics over every request: TTFT/TBT/latency samples
-     * pooled across replicas, requests_per_minute over the fleet
-     * makespan (the time the last replica finished).
+     * Fleet-wide metrics over every request: the sum of per_replica
+     * in replica order (MetricsReport::operator+=), so TTFT/TBT/
+     * latency samples pool replica-major and RequestsPerMinute() runs
+     * over the fleet makespan (the time the last replica finished).
      */
     serve::MetricsReport fleet;
 
@@ -71,7 +71,7 @@ struct ClusterMetricsReport : serve::EngineCounters
      */
     double token_imbalance_cv = 0.0;
 
-    /** Fleet-wide preemption events (sum over per_replica). */
+    /** Fleet-wide preemption events (fleet.preemptions). */
     long preemptions = 0;
 
     /**

@@ -47,6 +47,9 @@ class SampleStats
     /** Append another set's samples after this one's, in its order. */
     void Append(const SampleStats& other);
 
+    /** Make room for `runs` runs, so appends up to it never regrow. */
+    void Reserve(size_t runs) { runs_.reserve(runs); }
+
     /** Number of samples recorded. */
     size_t Count() const { return count_; }
 

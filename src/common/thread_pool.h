@@ -64,8 +64,6 @@ class ThreadPool
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    int NumThreads() const { return num_threads_; }
-
     /**
      * Run task(0) .. task(count - 1), each exactly once, distributed
      * over the pool; returns only when all have completed (the

@@ -26,41 +26,4 @@ FormatTime(double seconds)
     return std::string(buf);
 }
 
-std::string
-FormatBytes(double bytes)
-{
-    char buf[64];
-    double abs = std::fabs(bytes);
-    if (abs >= kGiB) {
-        std::snprintf(buf, sizeof(buf), "%.2f GiB", bytes / kGiB);
-    } else if (abs >= kMiB) {
-        std::snprintf(buf, sizeof(buf), "%.2f MiB", bytes / kMiB);
-    } else if (abs >= kKiB) {
-        std::snprintf(buf, sizeof(buf), "%.2f KiB", bytes / kKiB);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.0f B", bytes);
-    }
-    return std::string(buf);
-}
-
-std::string
-FormatRate(double per_second, const char* unit)
-{
-    char buf[64];
-    double abs = std::fabs(per_second);
-    if (abs >= 1e12) {
-        std::snprintf(buf, sizeof(buf), "%.2f T%s/s", per_second / 1e12,
-                      unit);
-    } else if (abs >= 1e9) {
-        std::snprintf(buf, sizeof(buf), "%.2f G%s/s", per_second / 1e9,
-                      unit);
-    } else if (abs >= 1e6) {
-        std::snprintf(buf, sizeof(buf), "%.2f M%s/s", per_second / 1e6,
-                      unit);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.2f %s/s", per_second, unit);
-    }
-    return std::string(buf);
-}
-
 }  // namespace pod

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit constants and formatting helpers.
+ * Time conversion and formatting helpers.
  *
  * The library's internal units are: seconds for time, bytes for data,
  * FLOPs for compute work, bytes/second and FLOP/s for rates.
@@ -8,41 +8,15 @@
 #ifndef POD_COMMON_UNITS_H
 #define POD_COMMON_UNITS_H
 
-#include <cstdint>
 #include <string>
 
 namespace pod {
 
-// -------- data sizes --------
-inline constexpr double kKiB = 1024.0;
-inline constexpr double kMiB = 1024.0 * kKiB;
-inline constexpr double kGiB = 1024.0 * kMiB;
-inline constexpr double kKB = 1e3;
-inline constexpr double kMB = 1e6;
-inline constexpr double kGB = 1e9;
-
-// -------- compute rates --------
-inline constexpr double kTeraFlops = 1e12;
-inline constexpr double kGigaFlops = 1e9;
-
-// -------- time --------
-inline constexpr double kMilli = 1e-3;
-inline constexpr double kMicro = 1e-6;
-
 /** Convert seconds to milliseconds. */
 inline constexpr double ToMs(double seconds) { return seconds * 1e3; }
 
-/** Convert seconds to microseconds. */
-inline constexpr double ToUs(double seconds) { return seconds * 1e6; }
-
 /** Format seconds as an adaptive human string ("1.23 ms"). */
 std::string FormatTime(double seconds);
-
-/** Format a byte count as an adaptive human string ("1.5 GiB"). */
-std::string FormatBytes(double bytes);
-
-/** Format a rate (unit/s) with an SI prefix ("312 T", "1.9 G"). */
-std::string FormatRate(double per_second, const char* unit);
 
 }  // namespace pod
 

@@ -130,7 +130,6 @@ class PodAttention
     /** Speedup of POD over FA_Serial for a batch (1.0 = parity). */
     double SpeedupOverSerial(const kernels::HybridBatch& batch) const;
 
-    const gpusim::GpuSpec& Spec() const { return spec_; }
     AttnRunOptions& Options() { return options_; }
 
   private:

@@ -113,9 +113,6 @@ class FluidEngine
     /** Convenience: run a single kernel on stream 0. */
     SimResult RunKernel(const KernelDesc& kernel);
 
-    /** Device spec in use. */
-    const GpuSpec& Spec() const { return spec_; }
-
   private:
     GpuSpec spec_;
     SimOptions options_;

@@ -189,6 +189,9 @@ ServingEngine::Reset()
     now_ = 0.0;
     iterations_ = 0;
     total_batch_tokens_ = 0.0;
+    busy_seconds_ = 0.0;
+    kv_peak_ = 0.0;
+    kv_util_sum_ = 0.0;
     finished_ = 0;
     tbt_.Clear();
     admitted_end_ = 0;
@@ -492,6 +495,9 @@ ServingEngine::Step()
     result.progressed = true;
     result.duration = dt;
     result.kv_utilization = kv_->Utilization();
+    busy_seconds_ += dt;
+    kv_peak_ = std::max(kv_peak_, result.kv_utilization);
+    kv_util_sum_ += result.kv_utilization;
     return result;
 }
 

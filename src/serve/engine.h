@@ -293,6 +293,20 @@ class ServingEngine
     /** Total new tokens processed across all iterations. */
     double TotalBatchTokens() const { return total_batch_tokens_; }
 
+    /** Sim time spent executing iterations since Reset() (seconds). */
+    double BusySeconds() const { return busy_seconds_; }
+
+    /** Peak KV pool utilization after any iteration since Reset(). */
+    double KvPeakUtilization() const { return kv_peak_; }
+
+    /** Mean KV pool utilization after each iteration; 0 before any. */
+    double KvMeanUtilization() const
+    {
+        return iterations_ > 0
+                   ? kv_util_sum_ / static_cast<double>(iterations_)
+                   : 0.0;
+    }
+
     const std::vector<RequestState>& States() const { return states_; }
 
     /**
@@ -422,6 +436,11 @@ class ServingEngine
     double now_ = 0.0;
     long iterations_ = 0;
     double total_batch_tokens_ = 0.0;
+    /** Sum of iteration latencies, peak and summed post-iteration KV
+     * utilization; iterations_ counts the summed samples. */
+    double busy_seconds_ = 0.0;
+    double kv_peak_ = 0.0;
+    double kv_util_sum_ = 0.0;
     size_t finished_ = 0;
 
     /** Inter-token gaps since Reset() (Tbt()). */

@@ -114,7 +114,6 @@ KvAllocator::TryAdmit(const RequestState& state)
     if (state.phase == Phase::kPreemptedSwapped) swapped_out_.erase(id);
     if (!cache_) return true;
 
-    shared_cover_[id] = matched;
     last_admit_cached_tokens_ =
         static_cast<int>(matched) * pool_.BlockSize();
     if (!hashes->empty()) {
@@ -133,13 +132,10 @@ KvAllocator::TryAdmit(const RequestState& state)
 long
 KvAllocator::GrowthNeed(const RequestState& state) const
 {
-    long cover = 0;
-    if (cache_) {
-        auto it = shared_cover_.find(state.request.id);
-        if (it != shared_cover_.end()) cover = it->second;
-    }
+    const int id = state.request.id;
+    const long cover = cache_ ? cache_->RefBlocks(id) : 0;
     return pool_.BlocksFor(state.ContextLen() + 1) - cover -
-           pool_.Held(state.request.id);
+           pool_.Held(id);
 }
 
 bool
@@ -182,7 +178,6 @@ KvAllocator::Evict(const RequestState& state, PreemptMode mode)
         // same chain without recomputing it.
         auto it = hashes_.find(id);
         if (it != hashes_.end()) cache_->Release(id, it->second);
-        shared_cover_.erase(id);
     }
     return blocks;
 }
@@ -197,7 +192,6 @@ KvAllocator::Release(int request_id)
         cache_->Release(request_id, it->second);
         hashes_.erase(it);
     }
-    shared_cover_.erase(request_id);
 }
 
 void
@@ -237,7 +231,6 @@ KvAllocator::OnPrefillComplete(const RequestState& state)
         cache_->InsertAndRef(id, hashes);
     if (result.new_blocks > 0) pool_.TransferToShared(id, result.new_blocks);
     if (result.dedup_blocks > 0) pool_.Shrink(id, result.dedup_blocks);
-    shared_cover_[id] = static_cast<long>(hashes.size());
 }
 
 long
@@ -255,15 +248,11 @@ KvAllocator::AuditLedger() const
         POD_ASSERT(blocks >= 0 && pool_.Held(id) == 0);
     }
     if (!cache_) {
-        POD_ASSERT(pool_.SharedBlocks() == 0 && hashes_.empty() &&
-                   shared_cover_.empty());
+        POD_ASSERT(pool_.SharedBlocks() == 0 && hashes_.empty());
         return;
     }
     cache_->CheckIntegrity();
     POD_ASSERT(cache_->TotalBlocks() == pool_.SharedBlocks());
-    for (const auto& [id, cover] : shared_cover_) {
-        POD_ASSERT(cache_->RefBlocks(id) == cover);
-    }
 }
 
 }  // namespace pod::serve

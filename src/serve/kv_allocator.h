@@ -174,8 +174,8 @@ class KvAllocator
      * Audit every cross-structure invariant: the pool ledger, swapped
      * requests holding nothing on-device, and with the prefix cache
      * the tree's internal counters plus the cache-vs-shared-account
-     * lockstep (tree blocks == pool shared blocks, per-request
-     * coverage == recorded shared cover). Fatal on drift. O(tree).
+     * lockstep (tree blocks == pool shared blocks). Fatal on drift.
+     * O(tree).
      */
     void AuditLedger() const;
 
@@ -231,9 +231,6 @@ class KvAllocator
 
     /** Hash chains of in-flight requests (admission .. release). */
     std::unordered_map<int, std::vector<uint64_t>> hashes_;
-
-    /** Context blocks covered by cache references, per request. */
-    std::unordered_map<int, long> shared_cover_;
 };
 
 }  // namespace pod::serve

@@ -4,53 +4,64 @@
  */
 #include "serve/metrics.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace pod::serve {
 
-MetricsReport
-CollectMetrics(const std::vector<ReplicaRecords>& replicas, double makespan,
-               long iterations, double total_batch_tokens)
+namespace {
+
+double
+Ratio(double num, double den)
 {
-    size_t num_states = 0;
-    for (const ReplicaRecords& r : replicas) num_states += r.states->size();
+    return den > 0.0 ? num / den : 0.0;
+}
 
-    MetricsReport report;
-    report.num_requests = static_cast<int>(num_states);
-    report.makespan = makespan;
-    report.iterations = iterations;
-    if (makespan > 0.0) {
-        report.requests_per_minute =
-            static_cast<double>(num_states) / makespan * 60.0;
-    }
-    if (iterations > 0) {
-        report.mean_batch_tokens =
-            total_batch_tokens / static_cast<double>(iterations);
-    }
+}  // namespace
 
-    int stalled_200 = 0;
-    int stalled_500 = 0;
-    for (const ReplicaRecords& r : replicas) {
-        for (const auto& state : *r.states) {
-            POD_ASSERT(state.Finished());
-            report.preemptions += state.preempt_count;
-            if (state.preempt_count > 0) ++report.requests_preempted;
-            report.ttft.Add(state.first_token_time -
-                            state.request.arrival_time);
-            report.latency.Add(state.finish_time -
-                               state.request.arrival_time);
-            if (state.max_tbt > 0.2) ++stalled_200;
-            if (state.max_tbt > 0.5) ++stalled_500;
-        }
-        report.tbt.Append(*r.tbt);
-    }
-    if (num_states > 0) {
-        report.frac_stalled_200ms =
-            static_cast<double>(stalled_200) / num_states;
-        report.frac_stalled_500ms =
-            static_cast<double>(stalled_500) / num_states;
-    }
-    return report;
+double
+MetricsReport::RequestsPerMinute() const
+{
+    return makespan > 0.0
+               ? static_cast<double>(num_requests) / makespan * 60.0
+               : 0.0;
+}
+
+double
+MetricsReport::MeanBatchTokens() const
+{
+    return Ratio(batch_tokens, static_cast<double>(iterations));
+}
+
+double
+MetricsReport::FracStalled200ms() const
+{
+    return Ratio(requests_stalled_200ms, num_requests);
+}
+
+double
+MetricsReport::FracStalled500ms() const
+{
+    return Ratio(requests_stalled_500ms, num_requests);
+}
+
+MetricsReport&
+MetricsReport::operator+=(const MetricsReport& other)
+{
+    EngineCounters::operator+=(other);
+    num_requests += other.num_requests;
+    makespan = std::max(makespan, other.makespan);
+    iterations += other.iterations;
+    batch_tokens += other.batch_tokens;
+    ttft.Append(other.ttft);
+    tbt.Append(other.tbt);
+    latency.Append(other.latency);
+    requests_stalled_200ms += other.requests_stalled_200ms;
+    requests_stalled_500ms += other.requests_stalled_500ms;
+    preemptions += other.preemptions;
+    requests_preempted += other.requests_preempted;
+    return *this;
 }
 
 MetricsReport
@@ -58,8 +69,22 @@ CollectMetrics(const std::vector<RequestState>& states,
                const SampleStats& tbt, double makespan, long iterations,
                double total_batch_tokens)
 {
-    return CollectMetrics({ReplicaRecords{&states, &tbt}}, makespan,
-                          iterations, total_batch_tokens);
+    MetricsReport report;
+    report.num_requests = static_cast<int>(states.size());
+    report.makespan = makespan;
+    report.iterations = iterations;
+    report.batch_tokens = total_batch_tokens;
+    for (const auto& state : states) {
+        POD_ASSERT(state.Finished());
+        report.preemptions += state.preempt_count;
+        if (state.preempt_count > 0) ++report.requests_preempted;
+        report.ttft.Add(state.first_token_time - state.request.arrival_time);
+        report.latency.Add(state.finish_time - state.request.arrival_time);
+        if (state.max_tbt > 0.2) ++report.requests_stalled_200ms;
+        if (state.max_tbt > 0.5) ++report.requests_stalled_500ms;
+    }
+    report.tbt.Append(tbt);
+    return report;
 }
 
 void
@@ -87,13 +112,13 @@ FillRegistry(const MetricsReport& report,
                         report.requests_preempted);
     registry.SetGauge(prefix + "makespan_seconds", report.makespan);
     registry.SetGauge(prefix + "requests_per_minute",
-                      report.requests_per_minute);
+                      report.RequestsPerMinute());
     registry.SetGauge(prefix + "batch_tokens.mean",
-                      report.mean_batch_tokens);
+                      report.MeanBatchTokens());
     registry.SetGauge(prefix + "stalled.frac_200ms",
-                      report.frac_stalled_200ms);
+                      report.FracStalled200ms());
     registry.SetGauge(prefix + "stalled.frac_500ms",
-                      report.frac_stalled_500ms);
+                      report.FracStalled500ms());
     FillCounters(report, registry, prefix);
     FillSampleStats(report.ttft, registry, prefix + "ttft");
     FillSampleStats(report.tbt, registry, prefix + "tbt");

@@ -17,7 +17,9 @@
 namespace pod::serve {
 
 /**
- * Aggregate report of one serving run. The inherited engine counters
+ * Aggregate report of one serving run, or of a fleet (the sum of its
+ * replicas' reports, operator+=). Only raw totals are stored; every
+ * ratio is computed from them. The inherited engine counters
  * (serve/counters.h) come from ServingEngine::Counters().
  */
 struct MetricsReport : EngineCounters
@@ -30,10 +32,10 @@ struct MetricsReport : EngineCounters
     /** Wall time from start to last completion (seconds). */
     double makespan = 0.0;
 
-    /** Offline throughput metric (paper Fig. 12). */
-    double requests_per_minute = 0.0;
-
     long iterations = 0;
+
+    /** Tokens processed across all scheduled batches. */
+    double batch_tokens = 0.0;
 
     /** Time-to-first-token samples (seconds). */
     SampleStats ttft;
@@ -47,38 +49,38 @@ struct MetricsReport : EngineCounters
     /** End-to-end request latency samples (seconds). */
     SampleStats latency;
 
-    /** Fraction of requests with at least one TBT > 200 ms. */
-    double frac_stalled_200ms = 0.0;
+    /** Requests with at least one TBT > 200 ms. */
+    int requests_stalled_200ms = 0;
 
-    /** Fraction of requests with at least one TBT > 500 ms. */
-    double frac_stalled_500ms = 0.0;
-
-    /** Mean tokens per scheduled batch. */
-    double mean_batch_tokens = 0.0;
+    /** Requests with at least one TBT > 500 ms. */
+    int requests_stalled_500ms = 0;
 
     /** Total preemption events (sum of per-request preempt counts). */
     long preemptions = 0;
 
     /** Requests preempted at least once. */
     int requests_preempted = 0;
-};
 
-/** One replica's final request states and its engine's TBT gaps. */
-struct ReplicaRecords
-{
-    const std::vector<RequestState>* states = nullptr;
-    const SampleStats* tbt = nullptr;
-};
+    /** Offline throughput metric (paper Fig. 12); 0 at makespan 0. */
+    double RequestsPerMinute() const;
 
-/**
- * Build a report from several replicas' records, pooled in the given
- * order (replica-major; states in state order, TBT runs in emission
- * order) without copying the states — the fleet report of a cluster
- * run.
- */
-MetricsReport CollectMetrics(const std::vector<ReplicaRecords>& replicas,
-                             double makespan, long iterations,
-                             double total_batch_tokens);
+    /** Mean tokens per scheduled batch; 0 when no iteration ran. */
+    double MeanBatchTokens() const;
+
+    /** Fraction of requests with at least one TBT > 200 ms. */
+    double FracStalled200ms() const;
+
+    /** Fraction of requests with at least one TBT > 500 ms. */
+    double FracStalled500ms() const;
+
+    /**
+     * Pool another run's report into this one: counts and counters
+     * add, the makespan is the later of the two, and the sample sets
+     * append `other`'s after this one's (replica-major when a fleet
+     * sums its replicas in index order). Names are kept.
+     */
+    MetricsReport& operator+=(const MetricsReport& other);
+};
 
 /** Build a report from one engine's final states and TBT gaps. */
 MetricsReport CollectMetrics(const std::vector<RequestState>& states,

@@ -47,7 +47,6 @@ PrefixCache::SplitNode(Node* node, long keep)
     rest->run.assign(node->run.begin() + keep, node->run.end());
     rest->parent = node;
     rest->refcount = node->refcount;  // every holder covered both halves
-    rest->live_children = node->live_children;
     rest->last_use = node->last_use;
     rest->children = std::move(node->children);
     for (auto& [key, child] : rest->children) {
@@ -58,45 +57,28 @@ PrefixCache::SplitNode(Node* node, long keep)
     Node* raw = rest.get();
     node->children.clear();
     node->children.emplace(raw->run.front(), std::move(rest));
-    node->live_children = raw->Live() ? 1 : 0;
     // Gauges are invariant under a split: cached/shared/evictable all
-    // count blocks, and both halves inherit the original refcount and
-    // liveness, so the per-block classification is unchanged.
+    // count blocks, and both halves inherit the original refcount, so
+    // the per-block classification is unchanged.
 }
 
 void
 PrefixCache::Ref(Node* node)
 {
-    bool was_live = node->Live();
     ++node->refcount;
-    if (node->refcount == 2) {
-        stats_.shared_blocks += static_cast<long>(node->run.size());
-    }
-    if (was_live) return;
-    evictable_blocks_ -= static_cast<long>(node->run.size());
-    for (Node* p = node->parent; p != nullptr; p = p->parent) {
-        bool p_was_live = p->Live();
-        ++p->live_children;
-        if (p_was_live) break;  // ancestors already count p as live
-        evictable_blocks_ -= static_cast<long>(p->run.size());
-    }
+    const long run_blocks = static_cast<long>(node->run.size());
+    if (node->refcount == 1) evictable_blocks_ -= run_blocks;
+    if (node->refcount == 2) stats_.shared_blocks += run_blocks;
 }
 
 void
 PrefixCache::Unref(Node* node)
 {
     POD_ASSERT(node->refcount > 0);
-    if (node->refcount == 2) {
-        stats_.shared_blocks -= static_cast<long>(node->run.size());
-    }
     --node->refcount;
-    if (node->Live()) return;
-    evictable_blocks_ += static_cast<long>(node->run.size());
-    for (Node* p = node->parent; p != nullptr; p = p->parent) {
-        --p->live_children;
-        if (p->Live()) break;
-        evictable_blocks_ += static_cast<long>(p->run.size());
-    }
+    const long run_blocks = static_cast<long>(node->run.size());
+    if (node->refcount == 0) evictable_blocks_ += run_blocks;
+    if (node->refcount == 1) stats_.shared_blocks -= run_blocks;
 }
 
 void
@@ -275,48 +257,28 @@ PrefixCache::CheckIntegrity() const
     long evictable = 0;
     long ref_weight = 0;  // sum of refcount * run over all nodes
 
-    // Bottom-up audit of liveness and the counter invariants.
-    struct Frame
-    {
-        const Node* node;
-        bool expanded;
-    };
-    std::vector<Frame> stack;
-    std::unordered_map<const Node*, bool> live;
-    stack.push_back({&root_, false});
+    std::vector<const Node*> stack = {&root_};
     while (!stack.empty()) {
-        Frame& f = stack.back();
-        if (!f.expanded) {
-            f.expanded = true;
-            for (const auto& [key, child] : f.node->children) {
-                (void)key;
-                stack.push_back({child.get(), false});
-            }
-            continue;
-        }
-        const Node* n = f.node;
+        const Node* n = stack.back();
         stack.pop_back();
-        int live_children = 0;
         long child_refs = 0;
         for (const auto& [key, child] : n->children) {
             POD_ASSERT(key == child->run.front());
             POD_ASSERT(child->parent == n);
             POD_ASSERT(!child->run.empty());
-            if (live.at(child.get())) ++live_children;
             child_refs += child->refcount;
+            stack.push_back(child.get());
         }
         POD_ASSERT(n->refcount >= 0);
-        POD_ASSERT(n->live_children == live_children);
+        if (n == &root_) continue;
         // Walk-based refcounts: every request referencing a child
         // also references its parent (plus requests ending here).
-        if (n != &root_) POD_ASSERT(n->refcount >= child_refs);
-        bool n_live = n->refcount > 0 || live_children > 0;
-        live[n] = n_live;
-        if (n == &root_) continue;
+        // Live() reads the node's own refcount because of this.
+        POD_ASSERT(n->refcount >= child_refs);
         long run_blocks = static_cast<long>(n->run.size());
         cached += run_blocks;
         if (n->refcount >= 2) shared += run_blocks;
-        if (!n_live) evictable += run_blocks;
+        if (!n->Live()) evictable += run_blocks;
         ref_weight += n->refcount * run_blocks;
     }
 

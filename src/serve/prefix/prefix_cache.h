@@ -24,7 +24,7 @@
  * The cache is pure hash bookkeeping: the block *counts* it caches
  * live in BlockKvManager's shared account, and the owning allocator
  * (serve/kv_allocator.h) keeps the two in lockstep
- * (CachedBlocks() == pool.SharedBlocks(), audited by the randomized
+ * (TotalBlocks() == pool.SharedBlocks(), audited by the randomized
  * CoW oracle test).
  */
 #ifndef POD_SERVE_PREFIX_PREFIX_CACHE_H
@@ -157,10 +157,10 @@ class PrefixCache
 
     /**
      * Audit every tree invariant from scratch against the
-     * incremental counters: per-node liveness, the evictable/cached/
-     * shared gauges, refcount monotonicity along paths, and the sum
-     * of per-request coverages vs total refcounts. Fatal on drift.
-     * O(tree); test/debug use.
+     * incremental counters: the evictable/cached/shared gauges,
+     * refcount monotonicity along paths (which Live() relies on),
+     * and the sum of per-request coverages vs total refcounts. Fatal
+     * on drift. O(tree); test/debug use.
      */
     void CheckIntegrity() const;
 
@@ -175,9 +175,6 @@ class PrefixCache
         /** Live requests whose coverage includes this whole run. */
         long refcount = 0;
 
-        /** Children whose subtree holds any reference. */
-        int live_children = 0;
-
         /** Monotonic touch stamp (LRU recency; unique per touch). */
         uint64_t last_use = 0;
 
@@ -186,7 +183,10 @@ class PrefixCache
          * scans. */
         std::map<uint64_t, std::unique_ptr<Node>> children;
 
-        bool Live() const { return refcount > 0 || live_children > 0; }
+        /** Any reference in this subtree: refcounts never grow down a
+         * path (whoever covers a child covers its parent), so the
+         * node's own refcount tells. */
+        bool Live() const { return refcount > 0; }
     };
 
     /** Split `node` so its run keeps only the first `keep` hashes;
@@ -195,7 +195,8 @@ class PrefixCache
      * and sharing. */
     void SplitNode(Node* node, long keep);
 
-    /** refcount transitions with gauge upkeep. */
+    /** refcount transitions; the evictable and shared gauges move on
+     * 0<->1 and 1<->2 only. */
     void Ref(Node* node);
     void Unref(Node* node);
 

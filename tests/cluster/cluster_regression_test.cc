@@ -57,7 +57,7 @@ TEST(ClusterRegressionTest, LeastKvRunIsBitIdenticalToGolden)
     EXPECT_EQ(m.num_requests, 48);
     EXPECT_EQ(m.iterations, 1396l);
     EXPECT_EQ(m.makespan, 0x1.36fb293d5113ep+3);  // 9.718159312972258
-    EXPECT_EQ(m.requests_per_minute, 0x1.285a37fe13759p+8);
+    EXPECT_EQ(m.RequestsPerMinute(), 0x1.285a37fe13759p+8);
     EXPECT_EQ(m.ttft.Percentile(50), 0x1.115f6ffd2e7ep-3);
     EXPECT_EQ(m.ttft.Percentile(99), 0x1.6544655af4e52p-1);
     EXPECT_EQ(m.ttft.Max(), 0x1.655c81a9aa2f8p-1);
@@ -66,22 +66,23 @@ TEST(ClusterRegressionTest, LeastKvRunIsBitIdenticalToGolden)
     EXPECT_EQ(m.tbt.Max(), 0x1.2adafd41bebcp-3);
     EXPECT_EQ(m.latency.Mean(), 0x1.4db75478a75dcp+0);
     EXPECT_EQ(m.latency.Max(), 0x1.16ef0840fc3fbp+2);
-    EXPECT_EQ(m.frac_stalled_200ms, 0x0p+0);
-    EXPECT_EQ(m.frac_stalled_500ms, 0x0p+0);
-    EXPECT_EQ(m.mean_batch_tokens, 0x1.e4f387b3b6a5cp+6);
+    EXPECT_EQ(m.FracStalled200ms(), 0x0p+0);
+    EXPECT_EQ(m.FracStalled500ms(), 0x0p+0);
+    EXPECT_EQ(m.MeanBatchTokens(), 0x1.e4f387b3b6a5cp+6);
     EXPECT_EQ(rep.request_imbalance_cv, 0x1.8a85c24f70659p-2);
     EXPECT_EQ(rep.token_imbalance_cv, 0x1.2fb13b5473b24p-1);
     ASSERT_EQ(rep.utilization.size(), 3u);
-    EXPECT_EQ(rep.utilization[0].requests_routed, 17);
-    EXPECT_EQ(rep.utilization[0].tokens_processed, 0x1.a85ep+15);
+    ASSERT_EQ(rep.per_replica.size(), 3u);
+    EXPECT_EQ(rep.per_replica[0].num_requests, 17);
+    EXPECT_EQ(rep.per_replica[0].batch_tokens, 0x1.a85ep+15);
     EXPECT_EQ(rep.utilization[0].kv_peak, 0x1.5990666103bbfp-5);
     EXPECT_EQ(rep.utilization[0].kv_mean, 0x1.48e7eda7b996ep-6);
-    EXPECT_EQ(rep.utilization[1].requests_routed, 23);
-    EXPECT_EQ(rep.utilization[1].tokens_processed, 0x1.8068p+16);
+    EXPECT_EQ(rep.per_replica[1].num_requests, 23);
+    EXPECT_EQ(rep.per_replica[1].batch_tokens, 0x1.8068p+16);
     EXPECT_EQ(rep.utilization[1].kv_peak, 0x1.5e9ce636614b9p-5);
     EXPECT_EQ(rep.utilization[1].kv_mean, 0x1.4ff82ecfb7806p-6);
-    EXPECT_EQ(rep.utilization[2].requests_routed, 8);
-    EXPECT_EQ(rep.utilization[2].tokens_processed, 0x1.0224p+14);
+    EXPECT_EQ(rep.per_replica[2].num_requests, 8);
+    EXPECT_EQ(rep.per_replica[2].batch_tokens, 0x1.0224p+14);
     EXPECT_EQ(rep.utilization[2].kv_peak, 0x1.3c1f713c1f714p-5);
     EXPECT_EQ(rep.utilization[2].kv_mean, 0x1.ae56be894351ap-6);
 }
@@ -94,7 +95,7 @@ TEST(ClusterRegressionTest, PrefillAwareRunIsBitIdenticalToGolden)
     EXPECT_EQ(m.num_requests, 48);
     EXPECT_EQ(m.iterations, 1368l);
     EXPECT_EQ(m.makespan, 0x1.49fe98a7c9b61p+3);  // 10.312328651152429
-    EXPECT_EQ(m.requests_per_minute, 0x1.17470190eaec2p+8);
+    EXPECT_EQ(m.RequestsPerMinute(), 0x1.17470190eaec2p+8);
     EXPECT_EQ(m.ttft.Percentile(50), 0x1.f949ea7ebb17p-4);
     EXPECT_EQ(m.ttft.Percentile(99), 0x1.8f806c5c94c72p+0);
     EXPECT_EQ(m.ttft.Max(), 0x1.c4eded44a4eacp+0);
@@ -103,22 +104,23 @@ TEST(ClusterRegressionTest, PrefillAwareRunIsBitIdenticalToGolden)
     EXPECT_EQ(m.tbt.Max(), 0x1.84ed43809304p-3);
     EXPECT_EQ(m.latency.Mean(), 0x1.4f91ace708ffdp+0);
     EXPECT_EQ(m.latency.Max(), 0x1.7401729df5b5p+2);
-    EXPECT_EQ(m.frac_stalled_200ms, 0x0p+0);
-    EXPECT_EQ(m.frac_stalled_500ms, 0x0p+0);
-    EXPECT_EQ(m.mean_batch_tokens, 0x1.eee08fb823ee1p+6);
+    EXPECT_EQ(m.FracStalled200ms(), 0x0p+0);
+    EXPECT_EQ(m.FracStalled500ms(), 0x0p+0);
+    EXPECT_EQ(m.MeanBatchTokens(), 0x1.eee08fb823ee1p+6);
     EXPECT_EQ(rep.request_imbalance_cv, 0x1.2d52500834e58p-1);
     EXPECT_EQ(rep.token_imbalance_cv, 0x1.f55abdbb6dde8p-2);
     ASSERT_EQ(rep.utilization.size(), 3u);
-    EXPECT_EQ(rep.utilization[0].requests_routed, 12);
-    EXPECT_EQ(rep.utilization[0].tokens_processed, 0x1.82dap+15);
+    ASSERT_EQ(rep.per_replica.size(), 3u);
+    EXPECT_EQ(rep.per_replica[0].num_requests, 12);
+    EXPECT_EQ(rep.per_replica[0].batch_tokens, 0x1.82dap+15);
     EXPECT_EQ(rep.utilization[0].kv_peak, 0x1.8c0d64b6ab583p-5);
     EXPECT_EQ(rep.utilization[0].kv_mean, 0x1.6ba822bc0a89cp-6);
-    EXPECT_EQ(rep.utilization[1].requests_routed, 29);
-    EXPECT_EQ(rep.utilization[1].tokens_processed, 0x1.6bebp+16);
+    EXPECT_EQ(rep.per_replica[1].num_requests, 29);
+    EXPECT_EQ(rep.per_replica[1].batch_tokens, 0x1.6bebp+16);
     EXPECT_EQ(rep.utilization[1].kv_peak, 0x1.9596c7f45c123p-5);
     EXPECT_EQ(rep.utilization[1].kv_mean, 0x1.3c9803e0adcefp-6);
-    EXPECT_EQ(rep.utilization[2].requests_routed, 7);
-    EXPECT_EQ(rep.utilization[2].tokens_processed, 0x1.9f2p+14);
+    EXPECT_EQ(rep.per_replica[2].num_requests, 7);
+    EXPECT_EQ(rep.per_replica[2].batch_tokens, 0x1.9f2p+14);
     EXPECT_EQ(rep.utilization[2].kv_peak, 0x1.93a6c593a6c59p-4);
     EXPECT_EQ(rep.utilization[2].kv_mean, 0x1.e4852753e8d06p-6);
 }
@@ -146,14 +148,14 @@ TEST(ClusterRegressionTest, AnalyticMatchesOracleWithinBands)
 
         EXPECT_EQ(a.fleet.num_requests, o.fleet.num_requests) << router;
         EXPECT_EQ(a.fleet.iterations, o.fleet.iterations) << router;
-        ASSERT_EQ(a.utilization.size(), o.utilization.size()) << router;
+        ASSERT_EQ(a.per_replica.size(), o.per_replica.size()) << router;
         long a_tokens = 0, o_tokens = 0;
-        for (size_t i = 0; i < a.utilization.size(); ++i) {
-            EXPECT_EQ(a.utilization[i].requests_routed,
-                      o.utilization[i].requests_routed)
+        for (size_t i = 0; i < a.per_replica.size(); ++i) {
+            EXPECT_EQ(a.per_replica[i].num_requests,
+                      o.per_replica[i].num_requests)
                 << router << " replica " << i;
-            a_tokens += static_cast<long>(a.utilization[i].tokens_processed);
-            o_tokens += static_cast<long>(o.utilization[i].tokens_processed);
+            a_tokens += static_cast<long>(a.per_replica[i].batch_tokens);
+            o_tokens += static_cast<long>(o.per_replica[i].batch_tokens);
         }
         EXPECT_EQ(a_tokens, o_tokens) << router;
 

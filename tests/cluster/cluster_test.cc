@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "../golden_scenarios.h"
+#include "report_compare.h"
 #include "serve/trace.h"
 
 namespace pod::cluster {
@@ -81,7 +83,7 @@ TEST(ClusterEngineTest, AllRequestsFinishAcrossReplicas)
         per_replica_sum += report.per_replica[static_cast<size_t>(r)]
                                .num_requests;
         routed_sum +=
-            report.utilization[static_cast<size_t>(r)].requests_routed;
+            static_cast<int>(cluster.Replica(r).States().size());
     }
     EXPECT_EQ(per_replica_sum, 12);
     EXPECT_EQ(routed_sum, 12);
@@ -100,8 +102,8 @@ TEST(ClusterEngineTest, ThroughputScalesWithReplicas)
                       std::make_unique<RoundRobinRouter>());
     ClusterMetricsReport r1 = one.Run(trace);
     ClusterMetricsReport r2 = two.Run(trace);
-    EXPECT_GT(r2.fleet.requests_per_minute,
-              r1.fleet.requests_per_minute * 1.5);
+    EXPECT_GT(r2.fleet.RequestsPerMinute(),
+              r1.fleet.RequestsPerMinute() * 1.5);
 }
 
 TEST(ClusterEngineTest, RoundRobinBalancesUniformLoadPerfectly)
@@ -111,8 +113,8 @@ TEST(ClusterEngineTest, RoundRobinBalancesUniformLoadPerfectly)
                           SarathiFactory(1024),
                           std::make_unique<RoundRobinRouter>());
     ClusterMetricsReport report = cluster.Run(trace);
-    EXPECT_EQ(report.utilization[0].requests_routed, 4);
-    EXPECT_EQ(report.utilization[1].requests_routed, 4);
+    EXPECT_EQ(report.per_replica[0].num_requests, 4);
+    EXPECT_EQ(report.per_replica[1].num_requests, 4);
     EXPECT_EQ(report.request_imbalance_cv, 0.0);
     // Identical requests on identical replicas: token load even too.
     EXPECT_NEAR(report.token_imbalance_cv, 0.0, 1e-12);
@@ -125,12 +127,14 @@ TEST(ClusterEngineTest, KvUtilizationSampled)
                           SarathiFactory(1024),
                           std::make_unique<LeastKvPressureRouter>());
     ClusterMetricsReport report = cluster.Run(trace);
-    for (const auto& u : report.utilization) {
+    ASSERT_EQ(report.utilization.size(), report.per_replica.size());
+    for (size_t r = 0; r < report.utilization.size(); ++r) {
+        const ReplicaUtilization& u = report.utilization[r];
         EXPECT_GT(u.kv_peak, 0.0);
         EXPECT_GT(u.kv_mean, 0.0);
         EXPECT_LE(u.kv_mean, u.kv_peak);
         EXPECT_GT(u.busy_time, 0.0);
-        EXPECT_GT(u.tokens_processed, 0.0);
+        EXPECT_GT(report.per_replica[r].batch_tokens, 0.0);
     }
 }
 
@@ -155,8 +159,8 @@ TEST(ClusterEngineTest, HeterogeneousFleetFasterGpuDoesMoreWork)
     ClusterMetricsReport report = cluster.Run(trace);
 
     EXPECT_EQ(report.fleet.num_requests, 12);
-    EXPECT_GT(report.utilization[1].requests_routed,
-              report.utilization[0].requests_routed);
+    EXPECT_GT(report.per_replica[1].num_requests,
+              report.per_replica[0].num_requests);
     // Per-replica mean latency reflects the hardware gap.
     EXPECT_LT(report.per_replica[1].latency.Mean(),
               report.per_replica[0].latency.Mean());
@@ -201,10 +205,8 @@ TEST(ClusterEngineTest, RepeatedRunsBitIdentical)
     EXPECT_EQ(first.fleet.makespan, second.fleet.makespan);
     EXPECT_EQ(first.fleet.ttft.Sum(), second.fleet.ttft.Sum());
     for (int r = 0; r < 3; ++r) {
-        EXPECT_EQ(first.utilization[static_cast<size_t>(r)]
-                      .requests_routed,
-                  second.utilization[static_cast<size_t>(r)]
-                      .requests_routed);
+        EXPECT_EQ(first.per_replica[static_cast<size_t>(r)].num_requests,
+                  second.per_replica[static_cast<size_t>(r)].num_requests);
     }
 }
 
@@ -253,6 +255,59 @@ TEST(ClusterEngineTest, WatermarkFleetSurfacesPreemptionCounters)
         per_replica_preemptions += replica.preemptions;
     }
     EXPECT_EQ(per_replica_preemptions, report.preemptions);
+}
+
+TEST(ClusterEngineTest, FleetReportEqualsPooledWalk)
+{
+    // The fleet report is the sum of the replica reports. It must
+    // equal one single-engine CollectMetrics walk over every
+    // replica's states and TBT gaps pooled replica-major, on a mixed
+    // fleet that preempts and stalls.
+    serve::ServingConfig base = BaseConfig();
+    base.memory_fraction = 0.0958;  // few-thousand-token KV pool
+    base.kv_policy = serve::KvPolicy::kWatermark;
+    base.kv_bucket = 4096;
+    base.context_bucket = 4096;
+    base.decode_bs_bucket = 32;
+    ClusterConfig config;
+    config.replicas.assign(3, base);
+    config.replicas[1].gpu = gpusim::GpuSpec::H100Sxm80GB();
+    config.replicas[2].kv_preempt_mode = serve::PreemptMode::kSwap;
+    ClusterEngine cluster(config, SarathiFactory(512),
+                          MakeRouter("least-kv"));
+    ClusterMetricsReport report = cluster.Run(golden::OverloadTrace(24));
+
+    std::vector<serve::RequestState> states;
+    SampleStats tbt;
+    serve::EngineCounters counters;
+    double makespan = 0.0;
+    long iterations = 0;
+    double batch_tokens = 0.0;
+    for (int r = 0; r < cluster.NumReplicas(); ++r) {
+        const serve::ServingEngine& replica = cluster.Replica(r);
+        states.insert(states.end(), replica.States().begin(),
+                      replica.States().end());
+        tbt.Append(replica.Tbt());
+        counters += replica.Counters();
+        makespan = std::max(makespan, replica.Now());
+        iterations += replica.Iterations();
+        batch_tokens += replica.TotalBatchTokens();
+    }
+    serve::MetricsReport pooled = serve::CollectMetrics(
+        states, tbt, makespan, iterations, batch_tokens);
+    // The walk sees no engine counters; those live in the engines.
+    static_cast<serve::EngineCounters&>(pooled) = counters;
+
+    // The scenario must exercise what the sum has to carry.
+    EXPECT_GT(pooled.preemptions, 0l);
+    EXPECT_GT(pooled.requests_stalled_200ms, 0);
+    for (const serve::MetricsReport& replica : report.per_replica) {
+        EXPECT_GT(replica.num_requests, 0);
+    }
+    test::ExpectMetricsEqual(pooled, report.fleet, "fleet");
+    test::ExpectCountersEqual(pooled, report.fleet, "fleet counters");
+    test::ExpectCountersEqual(report, report.fleet, "cluster counters");
+    EXPECT_EQ(report.preemptions, report.fleet.preemptions);
 }
 
 /** Sarathi scheduler that logs its replica index on every Next(). */

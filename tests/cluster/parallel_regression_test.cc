@@ -313,12 +313,12 @@ TEST(ParallelRegressionTest, RepeatedParallelRunsAreIdentical)
                                            "fleet");
     ASSERT_EQ(first.utilization.size(), second.utilization.size());
     for (size_t r = 0; r < first.utilization.size(); ++r) {
-        EXPECT_EQ(first.utilization[r].requests_routed,
-                  second.utilization[r].requests_routed);
+        EXPECT_EQ(first.per_replica[r].num_requests,
+                  second.per_replica[r].num_requests);
         EXPECT_EQ(first.utilization[r].busy_time,
                   second.utilization[r].busy_time);
-        EXPECT_EQ(first.utilization[r].tokens_processed,
-                  second.utilization[r].tokens_processed);
+        EXPECT_EQ(first.per_replica[r].batch_tokens,
+                  second.per_replica[r].batch_tokens);
         EXPECT_EQ(first.utilization[r].kv_peak,
                   second.utilization[r].kv_peak);
         EXPECT_EQ(first.utilization[r].kv_mean,

@@ -51,17 +51,22 @@ ExpectMetricsEqual(const serve::MetricsReport& expected,
 {
     EXPECT_EQ(expected.num_requests, got.num_requests) << what;
     EXPECT_EQ(expected.makespan, got.makespan) << what;
-    EXPECT_EQ(expected.requests_per_minute, got.requests_per_minute)
+    EXPECT_EQ(expected.RequestsPerMinute(), got.RequestsPerMinute())
         << what;
     EXPECT_EQ(expected.iterations, got.iterations) << what;
+    EXPECT_EQ(expected.batch_tokens, got.batch_tokens) << what;
     ExpectSamplesEqual(expected.ttft, got.ttft, what);
     ExpectSamplesEqual(expected.tbt, got.tbt, what);
     ExpectSamplesEqual(expected.latency, got.latency, what);
-    EXPECT_EQ(expected.frac_stalled_200ms, got.frac_stalled_200ms)
+    EXPECT_EQ(expected.requests_stalled_200ms, got.requests_stalled_200ms)
         << what;
-    EXPECT_EQ(expected.frac_stalled_500ms, got.frac_stalled_500ms)
+    EXPECT_EQ(expected.requests_stalled_500ms, got.requests_stalled_500ms)
         << what;
-    EXPECT_EQ(expected.mean_batch_tokens, got.mean_batch_tokens) << what;
+    EXPECT_EQ(expected.FracStalled200ms(), got.FracStalled200ms())
+        << what;
+    EXPECT_EQ(expected.FracStalled500ms(), got.FracStalled500ms())
+        << what;
+    EXPECT_EQ(expected.MeanBatchTokens(), got.MeanBatchTokens()) << what;
     EXPECT_EQ(expected.preemptions, got.preemptions) << what;
     EXPECT_EQ(expected.preemptions_recompute, got.preemptions_recompute)
         << what;
@@ -95,8 +100,6 @@ ExpectReportsEqual(const ClusterMetricsReport& expected,
         EXPECT_EQ(a.kv_peak, b.kv_peak);
         EXPECT_EQ(a.kv_mean, b.kv_mean);
         EXPECT_EQ(a.busy_time, b.busy_time);
-        EXPECT_EQ(a.requests_routed, b.requests_routed);
-        EXPECT_EQ(a.tokens_processed, b.tokens_processed);
     }
     EXPECT_EQ(expected.request_imbalance_cv, got.request_imbalance_cv);
     EXPECT_EQ(expected.token_imbalance_cv, got.token_imbalance_cv);

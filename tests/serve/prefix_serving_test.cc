@@ -32,7 +32,7 @@ ExpectBitIdentical(const MetricsReport& a, const MetricsReport& b)
 {
     EXPECT_EQ(a.num_requests, b.num_requests);
     EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.requests_per_minute, b.requests_per_minute);
+    EXPECT_EQ(a.RequestsPerMinute(), b.RequestsPerMinute());
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.ttft.Percentile(50), b.ttft.Percentile(50));
     EXPECT_EQ(a.ttft.Percentile(99), b.ttft.Percentile(99));
@@ -41,7 +41,7 @@ ExpectBitIdentical(const MetricsReport& a, const MetricsReport& b)
     EXPECT_EQ(a.tbt.Max(), b.tbt.Max());
     EXPECT_EQ(a.latency.Mean(), b.latency.Mean());
     EXPECT_EQ(a.latency.Max(), b.latency.Max());
-    EXPECT_EQ(a.mean_batch_tokens, b.mean_batch_tokens);
+    EXPECT_EQ(a.MeanBatchTokens(), b.MeanBatchTokens());
     EXPECT_EQ(a.preemptions, b.preemptions);
     EXPECT_EQ(a.preemptions_recompute, b.preemptions_recompute);
     EXPECT_EQ(a.requests_preempted, b.requests_preempted);

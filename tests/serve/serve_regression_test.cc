@@ -46,7 +46,7 @@ TEST(ServeRegressionTest, SarathiPodRunIsBitIdenticalToGolden)
     EXPECT_EQ(m.num_requests, 32);
     EXPECT_EQ(m.iterations, 469l);
     EXPECT_EQ(m.makespan, 0x1.b540ae8d2ce79p+3);  // 13.664145732625217
-    EXPECT_EQ(m.requests_per_minute, 0x1.190706cfb2408p+7);
+    EXPECT_EQ(m.RequestsPerMinute(), 0x1.190706cfb2408p+7);
     EXPECT_EQ(m.ttft.Percentile(50), 0x1.c23405184a8p+0);
     EXPECT_EQ(m.ttft.Percentile(99), 0x1.e85653df2df3p+1);
     EXPECT_EQ(m.ttft.Max(), 0x1.ef2c995e421d8p+1);
@@ -55,9 +55,9 @@ TEST(ServeRegressionTest, SarathiPodRunIsBitIdenticalToGolden)
     EXPECT_EQ(m.tbt.Max(), 0x1.c6d866c51f28p-5);
     EXPECT_EQ(m.latency.Mean(), 0x1.58086b0f7caa5p+2);
     EXPECT_EQ(m.latency.Max(), 0x1.2c0cc76d5bf74p+3);
-    EXPECT_EQ(m.frac_stalled_200ms, 0x0p+0);
-    EXPECT_EQ(m.frac_stalled_500ms, 0x0p+0);
-    EXPECT_EQ(m.mean_batch_tokens, 0x1.3c8f02baad93fp+8);
+    EXPECT_EQ(m.FracStalled200ms(), 0x0p+0);
+    EXPECT_EQ(m.FracStalled500ms(), 0x0p+0);
+    EXPECT_EQ(m.MeanBatchTokens(), 0x1.3c8f02baad93fp+8);
     EXPECT_EQ(engine.TotalBatchTokens(), 0x1.21f9p+17);  // 148466
     EXPECT_EQ(engine.AttnCacheSize(), 114u);
 }
@@ -92,7 +92,7 @@ TEST(ServeRegressionTest, VllmFaSerialRunIsBitIdenticalToGolden)
     EXPECT_EQ(m.num_requests, 32);
     EXPECT_EQ(m.iterations, 224l);
     EXPECT_EQ(m.makespan, 0x1.d280c7aa72c56p+3);  // 14.578220208079227
-    EXPECT_EQ(m.requests_per_minute, 0x1.0768198c97f6dp+7);
+    EXPECT_EQ(m.RequestsPerMinute(), 0x1.0768198c97f6dp+7);
     EXPECT_EQ(m.ttft.Percentile(50), 0x1.e544ee0a97a18p+0);
     EXPECT_EQ(m.ttft.Percentile(99), 0x1.b86384f9f9c26p+1);
     EXPECT_EQ(m.ttft.Max(), 0x1.bbaace838ca18p+1);
@@ -101,9 +101,9 @@ TEST(ServeRegressionTest, VllmFaSerialRunIsBitIdenticalToGolden)
     EXPECT_EQ(m.tbt.Max(), 0x1.4799a353d6ccdp+3);
     EXPECT_EQ(m.latency.Mean(), 0x1.2190e1748d47cp+3);
     EXPECT_EQ(m.latency.Max(), 0x1.a680c7aa72c56p+3);
-    EXPECT_EQ(m.frac_stalled_200ms, 0x1.ep-1);  // 0.9375
-    EXPECT_EQ(m.frac_stalled_500ms, 0x1.ep-1);
-    EXPECT_EQ(m.mean_batch_tokens, 0x1.4b65b6db6db6ep+9);
+    EXPECT_EQ(m.FracStalled200ms(), 0x1.ep-1);  // 0.9375
+    EXPECT_EQ(m.FracStalled500ms(), 0x1.ep-1);
+    EXPECT_EQ(m.MeanBatchTokens(), 0x1.4b65b6db6db6ep+9);
 }
 
 TEST(ServeRegressionTest, ConservativePolicyIsDefaultAndGolden)
@@ -181,15 +181,15 @@ TEST(ServeRegressionTest, AnalyticMatchesOracleWithinBands)
     EXPECT_EQ(a.sim_fallback_events, 0);
     EXPECT_EQ(o.sim_fastpath_events, 0);
     EXPECT_GT(o.sim_fallback_events, 0);
-    EXPECT_EQ(a.frac_stalled_200ms, o.frac_stalled_200ms);
-    EXPECT_EQ(a.frac_stalled_500ms, o.frac_stalled_500ms);
-    EXPECT_EQ(a.mean_batch_tokens, o.mean_batch_tokens);
+    EXPECT_EQ(a.FracStalled200ms(), o.FracStalled200ms());
+    EXPECT_EQ(a.FracStalled500ms(), o.FracStalled500ms());
+    EXPECT_EQ(a.MeanBatchTokens(), o.MeanBatchTokens());
 
     constexpr double kBand = 1e-3;
     constexpr double kMaxBand = 5e-3;  // Max(): single order statistic
     EXPECT_NEAR(a.makespan, o.makespan, o.makespan * kBand);
-    EXPECT_NEAR(a.requests_per_minute, o.requests_per_minute,
-                o.requests_per_minute * kBand);
+    EXPECT_NEAR(a.RequestsPerMinute(), o.RequestsPerMinute(),
+                o.RequestsPerMinute() * kBand);
     EXPECT_NEAR(a.ttft.Percentile(50), o.ttft.Percentile(50),
                 o.ttft.Percentile(50) * kBand);
     EXPECT_NEAR(a.ttft.Max(), o.ttft.Max(), o.ttft.Max() * kMaxBand);

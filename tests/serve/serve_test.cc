@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "core/attention.h"
 #include "model/iteration_cost.h"
@@ -242,7 +243,7 @@ TEST(ServingEngineTest, CompletesAllRequests)
     EXPECT_EQ(report.latency.Count(), 4u);
     // 4 requests x 63 post-first tokens of TBT samples.
     EXPECT_EQ(report.tbt.Count(), 4u * 63u);
-    EXPECT_GT(report.requests_per_minute, 0.0);
+    EXPECT_GT(report.RequestsPerMinute(), 0.0);
 }
 
 TEST(ServingEngineTest, TokenConservation)
@@ -252,7 +253,7 @@ TEST(ServingEngineTest, TokenConservation)
     auto trace = UniformTrace(3, 2000, 32);
     MetricsReport report = engine.Run(trace);
     double expected_tokens = 3.0 * (2000.0 + 32.0 - 1.0);
-    EXPECT_NEAR(report.mean_batch_tokens * report.iterations,
+    EXPECT_NEAR(report.MeanBatchTokens() * report.iterations,
                 expected_tokens, 1.0);
 }
 
@@ -271,8 +272,8 @@ TEST(ServingEngineTest, VllmStallsSarathiDoesNot)
 
     // vLLM: most requests see a stall; Sarathi: almost none
     // (paper S5.3.2).
-    EXPECT_GT(vllm_report.frac_stalled_200ms, 0.5);
-    EXPECT_LT(sarathi_report.frac_stalled_200ms, 0.2);
+    EXPECT_GT(vllm_report.FracStalled200ms(), 0.5);
+    EXPECT_LT(sarathi_report.FracStalled200ms(), 0.2);
     // vLLM achieves lower median TTFT.
     EXPECT_LT(vllm_report.ttft.Median(), sarathi_report.ttft.Median());
     // Sarathi's worst-case TBT is far below vLLM's multi-second
@@ -289,7 +290,7 @@ TEST(ServingEngineTest, PodImprovesSarathi)
     ServingEngine pod(SmallConfig(core::Backend::kPod),
                       std::make_unique<SarathiScheduler>(1024));
     MetricsReport boosted = pod.Run(trace);
-    EXPECT_GT(boosted.requests_per_minute, base.requests_per_minute);
+    EXPECT_GT(boosted.RequestsPerMinute(), base.RequestsPerMinute());
     EXPECT_LE(boosted.tbt.Percentile(99), base.tbt.Percentile(99) * 1.05);
 }
 
@@ -419,7 +420,7 @@ TEST(ServingEngineTest, StepLoopBitIdenticalToRun)
     // same float operations in the same order.
     EXPECT_EQ(run_report.makespan, step_report.makespan);
     EXPECT_EQ(run_report.iterations, step_report.iterations);
-    EXPECT_EQ(run_report.mean_batch_tokens, step_report.mean_batch_tokens);
+    EXPECT_EQ(run_report.MeanBatchTokens(), step_report.MeanBatchTokens());
     ASSERT_EQ(run_report.ttft.Count(), step_report.ttft.Count());
     const auto& run_ttft = run_report.ttft.Runs();
     const auto& step_ttft = step_report.ttft.Runs();
@@ -507,9 +508,9 @@ TEST(MetricsTest, ZeroRequestRunIsFiniteZeros)
         CollectMetrics(std::vector<RequestState>{}, SampleStats{}, 0.0, 0,
                        0.0);
     EXPECT_EQ(report.num_requests, 0);
-    EXPECT_EQ(report.requests_per_minute, 0.0);
-    EXPECT_EQ(report.mean_batch_tokens, 0.0);
-    EXPECT_EQ(report.frac_stalled_200ms, 0.0);
+    EXPECT_EQ(report.RequestsPerMinute(), 0.0);
+    EXPECT_EQ(report.MeanBatchTokens(), 0.0);
+    EXPECT_EQ(report.FracStalled200ms(), 0.0);
     EXPECT_TRUE(std::isfinite(report.ttft.Percentile(50)));
     EXPECT_TRUE(std::isfinite(report.ttft.Percentile(99)));
     EXPECT_TRUE(std::isfinite(report.tbt.Percentile(99)));
@@ -530,8 +531,8 @@ TEST(MetricsTest, SingleRequestRunIsFinite)
     MetricsReport report =
         CollectMetrics(states, SampleStats{}, 0.5, 3, 101.0);
     EXPECT_EQ(report.num_requests, 1);
-    EXPECT_TRUE(std::isfinite(report.requests_per_minute));
-    EXPECT_GT(report.requests_per_minute, 0.0);
+    EXPECT_TRUE(std::isfinite(report.RequestsPerMinute()));
+    EXPECT_GT(report.RequestsPerMinute(), 0.0);
     // One TTFT sample, zero TBT samples: percentiles interpolate over
     // a single point / an empty set without NaN.
     EXPECT_EQ(report.ttft.Count(), 1u);
@@ -539,7 +540,96 @@ TEST(MetricsTest, SingleRequestRunIsFinite)
     EXPECT_EQ(report.ttft.Percentile(50), 0.5);
     EXPECT_EQ(report.ttft.Percentile(99), 0.5);
     EXPECT_TRUE(std::isfinite(report.tbt.Percentile(99)));
-    EXPECT_TRUE(std::isfinite(report.frac_stalled_200ms));
+    EXPECT_TRUE(std::isfinite(report.FracStalled200ms()));
+}
+
+/** A finished request with the given timings and worst TBT gap. */
+RequestState
+FinishedState(int id, double arrival, double first_token, double finish,
+              double max_tbt, int preempt_count)
+{
+    RequestState state;
+    state.request = Request{id, arrival, 64, 4, {}, -1, 0};
+    state.prefilled = 64;
+    state.decoded = 4;
+    state.phase = Phase::kFinished;
+    state.first_token_time = first_token;
+    state.last_token_time = finish;
+    state.finish_time = finish;
+    state.max_tbt = max_tbt;
+    state.preempt_count = preempt_count;
+    return state;
+}
+
+TEST(MetricsTest, SumPoolsCountsSamplesAndLatestMakespan)
+{
+    // Replica a: a 0.3 s stall and a 0.6 s stall, one preempted twice.
+    std::vector<RequestState> a_states = {
+        FinishedState(0, 0.0, 0.25, 1.0, 0.3, 0),
+        FinishedState(1, 0.5, 1.0, 4.0, 0.6, 2)};
+    SampleStats a_tbt;
+    a_tbt.Add(0.1);
+    a_tbt.Add(0.3);
+    MetricsReport a = CollectMetrics(a_states, a_tbt, 4.0, 5, 300.0);
+    a.prefill_tokens_processed = 128;
+    // Replica b finishes earlier, stall-free.
+    std::vector<RequestState> b_states = {
+        FinishedState(2, 0.25, 0.5, 1.5, 0.1, 1)};
+    SampleStats b_tbt;
+    b_tbt.Add(0.1);
+    MetricsReport b = CollectMetrics(b_states, b_tbt, 1.5, 3, 100.0);
+    b.prefill_tokens_processed = 64;
+    // An idle replica (0 requests) adds nothing and divides by nothing.
+    MetricsReport idle = CollectMetrics(std::vector<RequestState>{},
+                                        SampleStats{}, 0.0, 0, 0.0);
+
+    MetricsReport fleet;
+    fleet.system = "fleet";
+    fleet += a;
+    fleet += idle;
+    fleet += b;
+
+    EXPECT_EQ(fleet.system, "fleet");
+    EXPECT_EQ(fleet.num_requests, 3);
+    EXPECT_EQ(fleet.makespan, 4.0);  // the later replica, not the sum
+    EXPECT_EQ(fleet.iterations, 8);
+    EXPECT_EQ(fleet.batch_tokens, 400.0);
+    EXPECT_EQ(fleet.requests_stalled_200ms, 2);
+    EXPECT_EQ(fleet.requests_stalled_500ms, 1);
+    EXPECT_EQ(fleet.preemptions, 3);
+    EXPECT_EQ(fleet.requests_preempted, 2);
+    EXPECT_EQ(fleet.prefill_tokens_processed, 192);
+    EXPECT_EQ(fleet.RequestsPerMinute(), 3.0 / 4.0 * 60.0);
+    EXPECT_EQ(fleet.MeanBatchTokens(), 400.0 / 8.0);
+    EXPECT_EQ(fleet.FracStalled200ms(), 2.0 / 3.0);
+    EXPECT_EQ(fleet.FracStalled500ms(), 1.0 / 3.0);
+
+    // Samples pool replica-major, exactly as one walk over the
+    // concatenated states and TBT gaps would add them.
+    std::vector<RequestState> all = a_states;
+    all.insert(all.end(), b_states.begin(), b_states.end());
+    SampleStats all_tbt = a_tbt;
+    all_tbt.Append(b_tbt);
+    MetricsReport walk = CollectMetrics(all, all_tbt, 4.0, 8, 400.0);
+    for (auto [got, want] :
+         {std::pair{&fleet.ttft, &walk.ttft},
+          std::pair{&fleet.tbt, &walk.tbt},
+          std::pair{&fleet.latency, &walk.latency}}) {
+        ASSERT_EQ(got->Runs().size(), want->Runs().size());
+        for (size_t i = 0; i < got->Runs().size(); ++i) {
+            EXPECT_EQ(got->Runs()[i].value, want->Runs()[i].value);
+            EXPECT_EQ(got->Runs()[i].count, want->Runs()[i].count);
+        }
+    }
+    EXPECT_EQ(fleet.tbt.Count(), 3u);
+
+    // Summing only the idle replica keeps every ratio a finite zero.
+    MetricsReport none;
+    none += idle;
+    EXPECT_EQ(none.RequestsPerMinute(), 0.0);
+    EXPECT_EQ(none.MeanBatchTokens(), 0.0);
+    EXPECT_EQ(none.FracStalled200ms(), 0.0);
+    EXPECT_EQ(none.FracStalled500ms(), 0.0);
 }
 
 TEST(ServingConfigTest, KvCapacityPositiveAndScales)
