@@ -1,20 +1,16 @@
 /**
  * @file
- * Implementation of the logging channels.
+ * Implementation of the error-reporting channels.
  *
- * Thread safety: the serving stack emits warnings from worker-pool
- * threads (the parallel cluster engine, docs/DESIGN.md S8), so each
- * message is formatted into a private buffer and written to stderr as
- * a single fwrite under a process-wide mutex — concurrent messages
- * serialize whole, never interleaving mid-line
- * (tests/common/logging_test.cc::ConcurrentEmissionKeepsLinesIntact).
- * The level itself is atomic so readers on pool threads race-freely
- * observe runtime SetLogLevel() calls.
+ * Thread safety: checks fire on worker-pool threads too (the
+ * parallel cluster engine, docs/DESIGN.md S8), so each message is
+ * formatted into a private buffer and written to stderr as a single
+ * fwrite under a process-wide mutex — concurrent messages serialize
+ * whole, never interleaving mid-line.
  */
 #include "common/logging.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -22,26 +18,6 @@
 namespace pod {
 
 namespace {
-
-LogLevel
-ReadInitialLevel()
-{
-    const char* env = std::getenv("POD_LOG_LEVEL");
-    if (env == nullptr) {
-        return LogLevel::kWarn;
-    }
-    int v = std::atoi(env);
-    if (v < 0) v = 0;
-    if (v > 4) v = 4;
-    return static_cast<LogLevel>(v);
-}
-
-std::atomic<int>&
-AtomicLevel()
-{
-    static std::atomic<int> level{static_cast<int>(ReadInitialLevel())};
-    return level;
-}
 
 std::mutex&
 EmitMutex()
@@ -74,20 +50,6 @@ VEmit(const char* tag, const char* fmt, va_list args)
 
 }  // namespace
 
-LogLevel
-GetLogLevel()
-{
-    return static_cast<LogLevel>(
-        AtomicLevel().load(std::memory_order_relaxed));
-}
-
-void
-SetLogLevel(LogLevel level)
-{
-    AtomicLevel().store(static_cast<int>(level),
-                        std::memory_order_relaxed);
-}
-
 void
 Panic(const char* fmt, ...)
 {
@@ -106,36 +68,6 @@ Fatal(const char* fmt, ...)
     VEmit("FATAL", fmt, args);
     va_end(args);
     std::exit(1);
-}
-
-void
-Warn(const char* fmt, ...)
-{
-    if (GetLogLevel() < LogLevel::kWarn) return;
-    va_list args;
-    va_start(args, fmt);
-    VEmit("warn", fmt, args);
-    va_end(args);
-}
-
-void
-Inform(const char* fmt, ...)
-{
-    if (GetLogLevel() < LogLevel::kInfo) return;
-    va_list args;
-    va_start(args, fmt);
-    VEmit("info", fmt, args);
-    va_end(args);
-}
-
-void
-Debug(const char* fmt, ...)
-{
-    if (GetLogLevel() < LogLevel::kDebug) return;
-    va_list args;
-    va_start(args, fmt);
-    VEmit("debug", fmt, args);
-    va_end(args);
 }
 
 }  // namespace pod

@@ -1,36 +1,16 @@
 /**
  * @file
- * Lightweight logging and error-reporting utilities.
+ * Error-reporting utilities and assert macros.
  *
  * Follows the gem5 convention of distinguishing unrecoverable internal
- * errors (Panic) from user-induced fatal conditions (Fatal), plus
- * informational and warning channels gated by a runtime verbosity level.
+ * errors (Panic) from user-induced fatal conditions (Fatal).
  */
 #ifndef POD_COMMON_LOGGING_H
 #define POD_COMMON_LOGGING_H
 
 #include <cstdarg>
-#include <string>
 
 namespace pod {
-
-/** Verbosity levels for the logging channels. */
-enum class LogLevel : int {
-    kSilent = 0,   ///< No output at all.
-    kError = 1,    ///< Only errors.
-    kWarn = 2,     ///< Errors and warnings.
-    kInfo = 3,     ///< Errors, warnings and informational messages.
-    kDebug = 4,    ///< Everything, including debug traces.
-};
-
-/**
- * Global log level. Initialized from the POD_LOG_LEVEL environment
- * variable (0-4) and adjustable at runtime.
- */
-LogLevel GetLogLevel();
-
-/** Override the global log level. */
-void SetLogLevel(LogLevel level);
 
 /**
  * Report an unrecoverable internal error (a bug in this library) and
@@ -49,15 +29,6 @@ void SetLogLevel(LogLevel level);
  */
 [[noreturn]] void Fatal(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Emit a warning message (gated at LogLevel::kWarn). */
-void Warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit an informational message (gated at LogLevel::kInfo). */
-void Inform(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug message (gated at LogLevel::kDebug). */
-void Debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Assert a library invariant; on failure, Panic. Active in all build

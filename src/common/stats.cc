@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 #include "common/logging.h"
@@ -171,29 +170,6 @@ SampleStats::Clear()
     runs_.clear();
     count_ = 0;
     sorted_.clear();
-}
-
-std::string
-SampleStats::Summary() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "n=%zu mean=%.4g p50=%.4g p99=%.4g min=%.4g max=%.4g",
-                  Count(), Mean(), Percentile(50), Percentile(99), Min(),
-                  Max());
-    return std::string(buf);
-}
-
-double
-GeoMean(const std::vector<double>& values)
-{
-    if (values.empty()) return 0.0;
-    double acc = 0.0;
-    for (double v : values) {
-        POD_CHECK_ARG(v > 0.0, "geometric mean requires positive values");
-        acc += std::log(v);
-    }
-    return std::exp(acc / static_cast<double>(values.size()));
 }
 
 }  // namespace pod

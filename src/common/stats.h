@@ -7,7 +7,6 @@
 #define POD_COMMON_STATS_H
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace pod {
@@ -86,9 +85,6 @@ class SampleStats
     /** Reset to empty. */
     void Clear();
 
-    /** One-line human-readable summary. */
-    std::string Summary() const;
-
   private:
     /** A distinct value and the number of samples <= it. */
     struct OrderStat
@@ -108,9 +104,6 @@ class SampleStats
     /** Sorted, merged runs; empty until a percentile query. */
     mutable std::vector<OrderStat> sorted_;
 };
-
-/** Geometric mean of a vector of positive values (0 if empty). */
-double GeoMean(const std::vector<double>& values);
 
 }  // namespace pod
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * Implementation of the console table / CSV writer.
+ * Implementation of the console table writer.
  */
 #include "common/table.h"
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "common/logging.h"
 
@@ -60,52 +59,6 @@ Table::Print(std::ostream& os) const
     for (const auto& row : rows_) {
         print_row(row);
     }
-}
-
-namespace {
-
-/** Quote a CSV cell if it contains separators or quotes. */
-std::string
-CsvEscape(const std::string& cell)
-{
-    if (cell.find_first_of(",\"\n") == std::string::npos) {
-        return cell;
-    }
-    std::string out = "\"";
-    for (char ch : cell) {
-        if (ch == '"') out += "\"\"";
-        else out += ch;
-    }
-    out += '"';
-    return out;
-}
-
-}  // namespace
-
-void
-Table::PrintCsv(std::ostream& os) const
-{
-    auto emit = [&](const std::vector<std::string>& row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            os << CsvEscape(row[c]);
-            if (c + 1 < row.size()) os << ',';
-        }
-        os << '\n';
-    };
-    emit(headers_);
-    for (const auto& row : rows_) emit(row);
-}
-
-bool
-Table::WriteCsv(const std::string& path) const
-{
-    std::ofstream out(path);
-    if (!out) {
-        Warn("could not open %s for writing", path.c_str());
-        return false;
-    }
-    PrintCsv(out);
-    return static_cast<bool>(out);
 }
 
 std::string

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fixed-width console table and CSV writers used by the benchmark
- * harnesses to print paper-style tables and figure series.
+ * Fixed-width console table writer used by the benchmark harnesses
+ * to print paper-style tables and figure series.
  */
 #ifndef POD_COMMON_TABLE_H
 #define POD_COMMON_TABLE_H
@@ -14,7 +14,7 @@ namespace pod {
 
 /**
  * Accumulates rows of string cells and prints them with aligned,
- * fixed-width columns, plus optional CSV export.
+ * fixed-width columns.
  */
 class Table
 {
@@ -30,12 +30,6 @@ class Table
 
     /** Print as an aligned console table. */
     void Print(std::ostream& os) const;
-
-    /** Print as CSV (headers + rows). */
-    void PrintCsv(std::ostream& os) const;
-
-    /** Write CSV to a file path; returns false on I/O error. */
-    bool WriteCsv(const std::string& path) const;
 
     /** Format a double with the given precision as a cell. */
     static std::string Num(double v, int precision = 2);

@@ -5,7 +5,6 @@
 #include "common/telemetry/profiler.h"
 
 #include <chrono>
-#include <cstdio>
 
 namespace pod::telemetry {
 
@@ -50,33 +49,6 @@ ClusterProfile::FillRegistry(MetricRegistry& registry,
             pool_total > 0.0 ? pool_wait / pool_total : 0.0);
         registry.AddCounter(prefix + "pool.tasks", pool_tasks);
     }
-}
-
-std::string
-ClusterProfile::Summary() const
-{
-    std::string out;
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "run %.3fs: advance %.3fs over %ld rounds "
-                  "(%ld dispatched to the pool), route %.3fs over %ld "
-                  "rounds\n",
-                  run.seconds, advance.seconds, advance.count,
-                  pool_rounds, route.seconds, route.count);
-    out += buf;
-    for (size_t i = 0; i < threads.size(); ++i) {
-        const ThreadStat& t = threads[i];
-        double total = t.busy + t.barrier_wait;
-        std::snprintf(buf, sizeof(buf),
-                      "  thread %zu%s: busy %.3fs, barrier wait %.3fs "
-                      "(%.1f%% idle), %ld tasks\n",
-                      i, i == 0 ? " (caller)" : "", t.busy,
-                      t.barrier_wait,
-                      total > 0.0 ? 100.0 * t.barrier_wait / total : 0.0,
-                      t.tasks);
-        out += buf;
-    }
-    return out;
 }
 
 }  // namespace pod::telemetry

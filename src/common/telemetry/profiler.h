@@ -88,9 +88,6 @@ struct ClusterProfile
      */
     void FillRegistry(MetricRegistry& registry,
                       const std::string& prefix) const;
-
-    /** Multi-line human-readable summary. */
-    std::string Summary() const;
 };
 
 }  // namespace pod::telemetry

@@ -108,9 +108,8 @@ MakePersistentPodKernel(const PodPlan& plan, const gpusim::GpuSpec& spec,
     kernel.max_ctas_per_sm = plan.ctas_per_sm;
     kernel.assign = [state](int /*idx*/, int sm_id) -> gpusim::CtaWork {
         State& s = *state;
-        int ratio = s.policy.ratio_a + s.policy.ratio_b;
-        int ticket = s.sm_counter[static_cast<size_t>(sm_id)]++ % ratio;
-        int op = (ticket < s.policy.ratio_a) ? 0 : 1;
+        int op = s.policy.TakeTicket(
+            s.sm_counter[static_cast<size_t>(sm_id)]);
         if (s.next[op] >= s.units[op].size()) op = 1 - op;
         gpusim::CtaWork work;
         for (size_t lane = 0; lane < s.lanes[op]; ++lane) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "kernels/sm_aware.h"
 
 namespace pod::kernels {
 
@@ -41,28 +42,14 @@ MakeBatchedPrefillKernel(std::string name, const UnitGeometry& prefill,
     // order: chunk first, then decode rows, tiled across heads).
     std::vector<gpusim::CtaWork> works;
     works.reserve(prefill.units.size() + decode.units.size());
-    size_t np = prefill.units.size();
-    size_t nd = decode.units.size();
-    size_t ip = 0;
-    size_t id = 0;
-    while (ip < np || id < nd) {
-        // Emit from the side that is behind its proportional quota.
-        bool take_prefill;
-        if (ip >= np) {
-            take_prefill = false;
-        } else if (id >= nd) {
-            take_prefill = true;
-        } else {
-            take_prefill = ip * nd <= id * np;
-        }
-        gpusim::CtaWork work;
-        if (take_prefill) {
-            work.units.push_back(prefill.units[ip++]);
-        } else {
-            work.units.push_back(decode.units[id++]);
-        }
-        works.push_back(std::move(work));
-    }
+    InterleaveProportionally(
+        prefill.units.size(), decode.units.size(),
+        [&](bool take_prefill, size_t i) {
+            gpusim::CtaWork work;
+            work.units.push_back(take_prefill ? prefill.units[i]
+                                              : decode.units[i]);
+            works.push_back(std::move(work));
+        });
     return gpusim::KernelDesc::FromWorks(std::move(name), res,
                                          std::move(works));
 }

@@ -14,18 +14,21 @@ namespace pod::kernels {
 
 namespace {
 
+/** Max barrier-delimited phases per work unit. */
+constexpr int kMaxPhasesPerUnit = 4;
+
 /**
  * Distribute a unit's total demands over its barrier-delimited
  * phases. Flash kernels iterate KV tiles with a barrier per tile; we
- * coalesce those iterations into at most `max_phases` phases with
- * uniform rates, which preserves timing under piecewise-constant
+ * coalesce those iterations into at most kMaxPhasesPerUnit phases
+ * with uniform rates, which preserves timing under piecewise-constant
  * contention while keeping simulation cost low.
  */
 void
 FillPhases(gpusim::WorkUnit& unit, double tensor, double cuda, double mem,
-           int kv_tiles, int max_phases)
+           int kv_tiles)
 {
-    int n = std::max(1, std::min(max_phases, kv_tiles));
+    int n = std::max(1, std::min(kMaxPhasesPerUnit, kv_tiles));
     unit.phases.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
         gpusim::Phase phase;
@@ -120,8 +123,7 @@ BuildPrefillUnits(const AttnShape& shape, const PrefillItem& prefill,
                 unit.warps = tile.warps;
                 unit.mem_bw_cap = options.unit_mem_bw_cap;
                 FillPhases(unit, issued, cuda, mem,
-                           CeilDiv(reach_padded, tile.tile_kv * splits),
-                           options.phases_per_unit);
+                           CeilDiv(reach_padded, tile.tile_kv * splits));
                 geom.units.push_back(std::move(unit));
 
                 geom.issued_tensor_flops += issued;
@@ -176,8 +178,7 @@ BuildDecodeUnits(const AttnShape& shape, const DecodeItem& decode,
                 unit.warps = tile.warps;
                 unit.mem_bw_cap = options.unit_mem_bw_cap;
                 FillPhases(unit, issued, cuda, mem,
-                           CeilDiv(ctx_padded, tile.tile_kv * splits),
-                           options.phases_per_unit);
+                           CeilDiv(ctx_padded, tile.tile_kv * splits));
                 geom.units.push_back(std::move(unit));
 
                 geom.issued_tensor_flops += issued;
@@ -228,8 +229,7 @@ BuildDecodeAsPrefillUnits(const AttnShape& shape, const DecodeItem& decode,
             unit.warps = tile.warps;
             unit.mem_bw_cap = options.unit_mem_bw_cap;
             FillPhases(unit, issued, cuda, mem,
-                       CeilDiv(ctx_padded, tile.tile_kv),
-                       options.phases_per_unit);
+                       CeilDiv(ctx_padded, tile.tile_kv));
             geom.units.push_back(std::move(unit));
 
             geom.issued_tensor_flops += issued;

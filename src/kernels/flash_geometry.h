@@ -40,9 +40,6 @@ struct GeomOptions
     /** KV-dimension splits (FlashDecoding; 1 = no split). */
     int num_splits = 1;
 
-    /** Max barrier-delimited phases per work unit. */
-    int phases_per_unit = 4;
-
     /**
      * Per-unit achievable memory bandwidth (bytes/s). Flash kernels
      * keep many async copies in flight; 16 GB/s per CTA reproduces

@@ -78,10 +78,8 @@ MakeSmAwareKernel(std::string name, gpusim::CtaResources resources,
         POD_ASSERT(sm_id >= 0 &&
                    sm_id < static_cast<int>(s.sm_counter.size()));
 
-        // Fig. 9 lines 5-8: take a ticket on this SM and pick the op.
-        int ratio = s.policy.ratio_a + s.policy.ratio_b;
-        int ticket = s.sm_counter[static_cast<size_t>(sm_id)]++ % ratio;
-        int op = (ticket < s.policy.ratio_a) ? 0 : 1;
+        int op = s.policy.TakeTicket(
+            s.sm_counter[static_cast<size_t>(sm_id)]);
 
         // Fig. 9 lines 10-18: claim the next CTA id for the op; if
         // the op has no CTAs left, switch to the other op.
@@ -107,22 +105,11 @@ MakeCtaParallelKernel(std::string name, gpusim::CtaResources resources,
     // is entirely up to the hardware scheduler.
     std::vector<gpusim::CtaWork> works;
     works.reserve(works_a.size() + works_b.size());
-    size_t na = works_a.size();
-    size_t nb = works_b.size();
-    size_t ia = 0;
-    size_t ib = 0;
-    while (ia < na || ib < nb) {
-        bool take_a;
-        if (ia >= na) {
-            take_a = false;
-        } else if (ib >= nb) {
-            take_a = true;
-        } else {
-            take_a = ia * nb <= ib * na;
-        }
-        works.push_back(take_a ? std::move(works_a[ia++])
-                               : std::move(works_b[ib++]));
-    }
+    InterleaveProportionally(
+        works_a.size(), works_b.size(), [&](bool take_a, size_t i) {
+            works.push_back(take_a ? std::move(works_a[i])
+                                   : std::move(works_b[i]));
+        });
     gpusim::KernelDesc desc = gpusim::KernelDesc::FromWorks(
         std::move(name), resources, std::move(works));
     desc.max_ctas_per_sm = max_ctas_per_sm;

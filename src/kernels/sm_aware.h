@@ -14,6 +14,7 @@
 #ifndef POD_KERNELS_SM_AWARE_H
 #define POD_KERNELS_SM_AWARE_H
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,39 @@ struct SmAwarePolicy
      */
     static SmAwarePolicy Proportional(int count_a, int count_b,
                                       int max_sum = 8);
+
+    /**
+     * Fig. 9 lines 5-8: take the next ticket from the arriving CTA's
+     * per-SM counter and return the op it binds (0 = A, 1 = B).
+     */
+    int
+    TakeTicket(int& sm_counter) const
+    {
+        int ticket = sm_counter++ % (ratio_a + ratio_b);
+        return ticket < ratio_a ? 0 : 1;
+    }
 };
+
+/**
+ * Merge two lists of `na` and `nb` items in proportional order, each
+ * step emitting from the side that is behind its quota: calls
+ * `emit(true, i)` for the i-th A item and `emit(false, i)` for the
+ * i-th B item, na + nb calls in all.
+ */
+template <typename Emit>
+void
+InterleaveProportionally(size_t na, size_t nb, Emit emit)
+{
+    size_t ia = 0;
+    size_t ib = 0;
+    while (ia < na || ib < nb) {
+        if (ib >= nb || (ia < na && ia * nb <= ib * na)) {
+            emit(true, ia++);
+        } else {
+            emit(false, ib++);
+        }
+    }
+}
 
 /**
  * Build a fused kernel whose CTAs bind to op A or op B at dispatch

@@ -5,8 +5,10 @@
 #include "serve/kv_allocator.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
+#include "common/math_util.h"
 #include "serve/prefix/block_hash.h"
 
 namespace pod::serve {
@@ -20,8 +22,17 @@ KvAllocator::KvAllocator(KvPolicy policy, long total_blocks,
                                                    : PreemptMode::kRecompute),
       watermark_(policy == KvPolicy::kWatermark ? watermark : 0.0),
       watermark_blocks_(static_cast<long>(watermark_ * total_blocks)),
-      pool_(total_blocks, block_size)
+      total_blocks_(total_blocks),
+      block_size_(block_size)
 {
+    POD_CHECK_ARG(total_blocks > 0, "KV pool must be non-empty");
+    POD_CHECK_ARG(block_size >= 1, "block size must be >= 1");
+    // Guard the pool's token capacity against long overflow: callers
+    // multiply total_blocks * block_size when sizing transfers and
+    // pressure figures.
+    POD_CHECK_ARG(total_blocks <=
+                      std::numeric_limits<long>::max() / block_size,
+                  "KV pool token capacity overflows long");
     POD_CHECK_ARG(watermark_ >= 0.0 && watermark_ < 1.0,
                   "kv_watermark must be in [0, 1)");
     if (prefix_cache_enabled) {
@@ -34,18 +45,53 @@ KvAllocator::KvAllocator(KvPolicy policy, long total_blocks,
     }
 }
 
-const std::vector<uint64_t>&
-KvAllocator::HashesFor(const RequestState& state)
+long
+KvAllocator::BlocksFor(int tokens) const
 {
-    auto it = hashes_.find(state.request.id);
-    if (it == hashes_.end()) {
-        it = hashes_
-                 .emplace(state.request.id,
-                          prefix::BlockHashes(state.request,
-                                              pool_.BlockSize()))
-                 .first;
+    // CeilDiv is only defined for non-negative operands; a negative
+    // token count would silently round to a zero-block reservation.
+    POD_CHECK_ARG(tokens >= 0, "token count must be >= 0");
+    return CeilDiv(static_cast<long>(tokens),
+                   static_cast<long>(block_size_));
+}
+
+long
+KvAllocator::Held(int request_id) const
+{
+    auto it = records_.find(request_id);
+    return it != records_.end() ? it->second.held : 0;
+}
+
+KvAllocator::Record&
+KvAllocator::HashedRecord(const RequestState& state)
+{
+    // With the cache on, every record is made here, so an existing
+    // record already carries the chain.
+    auto [it, inserted] = records_.try_emplace(state.request.id);
+    if (inserted) {
+        it->second.hashes =
+            prefix::BlockHashes(state.request, block_size_);
     }
     return it->second;
+}
+
+KvAllocator::Record&
+KvAllocator::Reserved(int request_id)
+{
+    auto it = records_.find(request_id);
+    POD_CHECK_ARG(it != records_.end() && it->second.reserved,
+                  "request holds no reservation");
+    return it->second;
+}
+
+void
+KvAllocator::ReleaseShared(long blocks)
+{
+    POD_CHECK_ARG(blocks >= 0, "block count must be >= 0");
+    POD_CHECK_ARG(blocks <= shared_blocks_,
+                  "shared account holds fewer blocks than released");
+    shared_blocks_ -= blocks;
+    used_blocks_ -= blocks;
 }
 
 bool
@@ -58,33 +104,38 @@ KvAllocator::TryAdmit(const RequestState& state)
     POD_ASSERT(policy_ == KvPolicy::kWatermark ||
                state.phase == Phase::kQueued);
 
+    // With the cache on, the record (and its hash chain) is made
+    // before the gate; without it, only a swapped-out request has a
+    // record before its admission succeeds.
+    Record* rec = cache_ ? &HashedRecord(state) : nullptr;
     long needed;
     if (state.phase == Phase::kPreemptedSwapped) {
         // Swap-in restores the exact evicted footprint.
-        auto it = swapped_out_.find(id);
-        POD_ASSERT(it != swapped_out_.end());
-        needed = it->second;
+        auto it = records_.find(id);
+        POD_ASSERT(it != records_.end());
+        rec = &it->second;
+        needed = rec->swapped;
     } else if (policy_ == KvPolicy::kConservative) {
-        needed = pool_.BlocksFor(state.request.prefill_tokens +
-                                 state.request.decode_tokens);
+        needed = BlocksFor(state.request.prefill_tokens +
+                           state.request.decode_tokens);
     } else {
         // Fresh or recompute-restored context: blocks for the prompt
         // (plus any generated tokens a recompute rebuilds); decode
         // growth comes later through Append().
-        needed = pool_.BlocksFor(state.PrefillTarget());
+        needed = BlocksFor(state.PrefillTarget());
     }
 
     const std::vector<uint64_t>* hashes = nullptr;
     long matched = 0;
     if (cache_) {
-        hashes = &HashesFor(state);
+        hashes = &rec->hashes;
         // Never serve the entire prefill from cache: at least one
         // prompt token must actually run so first-token timing stays
         // defined (vLLM clamps a full hit the same way).
         long max_match = std::min<long>(
             static_cast<long>(hashes->size()),
             static_cast<long>((state.PrefillTarget() - 1) /
-                              pool_.BlockSize()));
+                              block_size_));
         if (max_match > 0) matched = cache_->MatchBlocks(*hashes, max_match);
         needed -= matched;
         POD_ASSERT(needed >= 1);  // the clamp leaves >= 1 private block
@@ -93,15 +144,15 @@ KvAllocator::TryAdmit(const RequestState& state)
     // vLLM's watermark rule: admit only if the pool stays above the
     // watermark afterwards, so short bursts of decode growth do not
     // immediately preempt what was just admitted.
-    if (pool_.FreeBlocks() - needed < watermark_blocks_) {
+    if (FreeBlocks() - needed < watermark_blocks_) {
         if (!cache_) return false;
         // Reclaim dead cache blocks before giving up. Reference the
         // matched chain first so the LRU sweep cannot eat the very
         // prefix this admission hit.
-        long deficit = watermark_blocks_ + needed - pool_.FreeBlocks();
+        long deficit = watermark_blocks_ + needed - FreeBlocks();
         if (matched > 0) cache_->Acquire(id, *hashes, matched);
-        pool_.ReleaseShared(cache_->EvictLru(deficit));
-        if (pool_.FreeBlocks() - needed < watermark_blocks_) {
+        ReleaseShared(cache_->EvictLru(deficit));
+        if (FreeBlocks() - needed < watermark_blocks_) {
             if (matched > 0) cache_->Release(id, *hashes);
             return false;
         }
@@ -109,13 +160,17 @@ KvAllocator::TryAdmit(const RequestState& state)
         cache_->Acquire(id, *hashes, matched);
     }
 
-    bool ok = pool_.ReserveBlocks(id, needed);
-    POD_ASSERT(ok);  // the gate check implies it fits
-    if (state.phase == Phase::kPreemptedSwapped) swapped_out_.erase(id);
+    POD_CHECK_ARG(needed >= 0, "block count must be >= 0");
+    if (!rec) rec = &records_[id];
+    POD_CHECK_ARG(!rec->reserved, "request already holds a reservation");
+    POD_ASSERT(needed <= FreeBlocks());  // the gate check implies it fits
+    rec->reserved = true;
+    rec->held = needed;
+    rec->swapped = 0;
+    used_blocks_ += needed;
     if (!cache_) return true;
 
-    last_admit_cached_tokens_ =
-        static_cast<int>(matched) * pool_.BlockSize();
+    last_admit_cached_tokens_ = static_cast<int>(matched) * block_size_;
     if (!hashes->empty()) {
         prefix::PrefixCacheStats& s = cache_->Stats();
         if (matched > 0) {
@@ -134,8 +189,7 @@ KvAllocator::GrowthNeed(const RequestState& state) const
 {
     const int id = state.request.id;
     const long cover = cache_ ? cache_->RefBlocks(id) : 0;
-    return pool_.BlocksFor(state.ContextLen() + 1) - cover -
-           pool_.Held(id);
+    return BlocksFor(state.ContextLen() + 1) - cover - Held(id);
 }
 
 bool
@@ -146,7 +200,7 @@ KvAllocator::CanGrow(const RequestState& state) const
     // preemption.
     long need = GrowthNeed(state);
     long evictable = cache_ ? cache_->EvictableBlocks() : 0;
-    return need <= 0 || pool_.FreeBlocks() + evictable >= need;
+    return need <= 0 || FreeBlocks() + evictable >= need;
 }
 
 void
@@ -154,12 +208,15 @@ KvAllocator::Grow(const RequestState& state)
 {
     long need = GrowthNeed(state);
     if (need <= 0) return;
-    if (cache_ && pool_.FreeBlocks() < need) {
-        pool_.ReleaseShared(cache_->EvictLru(need - pool_.FreeBlocks()));
+    if (cache_ && FreeBlocks() < need) {
+        ReleaseShared(cache_->EvictLru(need - FreeBlocks()));
     }
-    bool ok = pool_.Grow(state.request.id, need);
-    POD_ASSERT_MSG(ok, "Append() without CanAppend() on request %d",
+    Record& rec = Reserved(state.request.id);
+    POD_ASSERT_MSG(need <= FreeBlocks(),
+                   "Append() without CanAppend() on request %d",
                    state.request.id);
+    rec.held += need;
+    used_blocks_ += need;
 }
 
 long
@@ -171,27 +228,27 @@ KvAllocator::Evict(const RequestState& state, PreemptMode mode)
     POD_CHECK_ARG(!cache_ || mode == PreemptMode::kRecompute,
                   "prefix caching only supports recompute preemption");
     const int id = state.request.id;
-    long blocks = pool_.Free(id);
-    if (mode == PreemptMode::kSwap) swapped_out_[id] = blocks;
-    if (cache_) {
-        // hashes_ survives: a recompute re-admission re-matches the
-        // same chain without recomputing it.
-        auto it = hashes_.find(id);
-        if (it != hashes_.end()) cache_->Release(id, it->second);
-    }
+    Record& rec = Reserved(id);
+    const long blocks = rec.held;
+    used_blocks_ -= blocks;
+    rec.reserved = false;
+    rec.held = 0;
+    if (mode == PreemptMode::kSwap) rec.swapped = blocks;
+    // The record and its hash chain survive: a recompute re-admission
+    // re-matches the same chain without recomputing it.
+    if (cache_) cache_->Release(id, rec.hashes);
     return blocks;
 }
 
 void
 KvAllocator::Release(int request_id)
 {
-    pool_.Free(request_id);
-    if (!cache_) return;
-    auto it = hashes_.find(request_id);
-    if (it != hashes_.end()) {
-        cache_->Release(request_id, it->second);
-        hashes_.erase(it);
-    }
+    auto it = records_.find(request_id);
+    POD_CHECK_ARG(it != records_.end() && it->second.reserved,
+                  "request holds no reservation");
+    used_blocks_ -= it->second.held;
+    if (cache_) cache_->Release(request_id, it->second.hashes);
+    records_.erase(it);
 }
 
 void
@@ -202,10 +259,10 @@ KvAllocator::CheckFits(const RequestState& state) const
     // referenced by this request alone is evictable once every other
     // holder is preempted. A request that cannot coexist with the
     // watermark would deadlock the decode-growth path.
-    POD_CHECK_ARG(pool_.BlocksFor(state.request.prefill_tokens +
-                                  state.request.decode_tokens) +
+    POD_CHECK_ARG(BlocksFor(state.request.prefill_tokens +
+                            state.request.decode_tokens) +
                           watermark_blocks_ <=
-                      pool_.TotalBlocks(),
+                      total_blocks_,
                   "request larger than the KV pool minus the "
                   "admission watermark");
 }
@@ -215,9 +272,9 @@ KvAllocator::OnPrefillComplete(const RequestState& state)
 {
     if (!cache_) return;
     const int id = state.request.id;
-    auto it = hashes_.find(id);
-    if (it == hashes_.end() || it->second.empty()) return;
-    const std::vector<uint64_t>& hashes = it->second;
+    auto it = records_.find(id);
+    if (it == records_.end() || it->second.hashes.empty()) return;
+    const std::vector<uint64_t>& hashes = it->second.hashes;
 
     // Promote the prompt's blocks: newly cached runs move from the
     // request's private account into the shared account; runs some
@@ -229,30 +286,44 @@ KvAllocator::OnPrefillComplete(const RequestState& state)
     // evicted-meanwhile remainder is re-promoted.
     prefix::PrefixCache::InsertResult result =
         cache_->InsertAndRef(id, hashes);
-    if (result.new_blocks > 0) pool_.TransferToShared(id, result.new_blocks);
-    if (result.dedup_blocks > 0) pool_.Shrink(id, result.dedup_blocks);
+    if (result.new_blocks == 0 && result.dedup_blocks == 0) return;
+    Record& rec = Reserved(id);
+    POD_CHECK_ARG(result.new_blocks + result.dedup_blocks <= rec.held,
+                  "request holds fewer blocks than transferred");
+    // New blocks only change owner; duplicates return to the pool.
+    rec.held -= result.new_blocks + result.dedup_blocks;
+    shared_blocks_ += result.new_blocks;
+    used_blocks_ -= result.dedup_blocks;
 }
 
 long
 KvAllocator::SwappedBlocks(int request_id) const
 {
-    auto it = swapped_out_.find(request_id);
-    return it != swapped_out_.end() ? it->second : 0;
+    auto it = records_.find(request_id);
+    return it != records_.end() ? it->second.swapped : 0;
 }
 
 void
 KvAllocator::AuditLedger() const
 {
-    pool_.CheckLedger();
-    for (const auto& [id, blocks] : swapped_out_) {
-        POD_ASSERT(blocks >= 0 && pool_.Held(id) == 0);
+    long held = 0;
+    for (const auto& [id, rec] : records_) {
+        (void)id;
+        POD_ASSERT(rec.held >= 0 && (rec.reserved || rec.held == 0));
+        // A swapped-out request holds nothing on-device.
+        POD_ASSERT(rec.swapped >= 0 && (rec.swapped == 0 || !rec.reserved));
+        POD_ASSERT(cache_ || rec.hashes.empty());
+        held += rec.held;
     }
+    POD_ASSERT(shared_blocks_ >= 0);
+    POD_ASSERT(held + shared_blocks_ == used_blocks_);
+    POD_ASSERT(used_blocks_ >= 0 && used_blocks_ <= total_blocks_);
     if (!cache_) {
-        POD_ASSERT(pool_.SharedBlocks() == 0 && hashes_.empty());
+        POD_ASSERT(shared_blocks_ == 0);
         return;
     }
     cache_->CheckIntegrity();
-    POD_ASSERT(cache_->TotalBlocks() == pool_.SharedBlocks());
+    POD_ASSERT(cache_->TotalBlocks() == shared_blocks_);
 }
 
 }  // namespace pod::serve

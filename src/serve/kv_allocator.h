@@ -2,8 +2,8 @@
  * @file
  * The serving engine's KV-cache allocator (docs/DESIGN.md S2).
  *
- * One class owns the admission/growth/eviction rules over a raw
- * block ledger (serve/kv_manager.h). Its inputs select the rule set:
+ * One class owns the block pool and the admission/growth/eviction
+ * rules over it. Its inputs select the rule set:
  *
  *  - KvPolicy::kConservative (default): a request reserves blocks for
  *    its full prompt plus maximum output up front, so growth never
@@ -42,8 +42,14 @@
  * blocks not referenced by the frontmost request have refcount 0, so
  * free + evictable >= CheckFits' worst-case footprint.
  *
- * Only the allocator constructs a BlockKvManager; every other layer
- * talks to this class.
+ * The pool ledger lives here too: a used-block count, a shared
+ * account for cached prompt blocks (owned by no single request), and
+ * one record per request holding its on-device reservation, its
+ * swapped-out footprint and its hash chain. Every ledger misuse
+ * (double reservation, freeing or growing a request that holds
+ * none, a shared-account underflow, a transfer larger than the
+ * blocks held) is fatal rather than silently absorbed, so policy
+ * bugs surface at the call site.
  */
 #ifndef POD_SERVE_KV_ALLOCATOR_H
 #define POD_SERVE_KV_ALLOCATOR_H
@@ -53,7 +59,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "serve/kv_manager.h"
 #include "serve/prefix/prefix_cache.h"
 #include "serve/request.h"
 
@@ -76,6 +81,12 @@ class KvAllocator
 {
   public:
     /**
+     * @param total_blocks capacity of the device KV pool; must be
+     *        >= 1 (a zero-capacity pool would make every admission
+     *        path a silent no-op) and small enough that the pool's
+     *        token capacity `total_blocks * block_size` fits in a
+     *        long.
+     * @param block_size tokens per block.
      * @param watermark fraction of the pool that must stay free
      *        after an admission (vLLM's `watermark`); kWatermark
      *        only, forced to 0 under kConservative.
@@ -171,24 +182,34 @@ class KvAllocator
     long SwappedBlocks(int request_id) const;
 
     /**
-     * Audit every cross-structure invariant: the pool ledger, swapped
-     * requests holding nothing on-device, and with the prefix cache
-     * the tree's internal counters plus the cache-vs-shared-account
-     * lockstep (tree blocks == pool shared blocks). Fatal on drift.
-     * O(tree).
+     * Audit every cross-structure invariant: per-request holdings
+     * plus the shared account equal the used blocks, swapped
+     * requests hold nothing on-device, and with the prefix cache the
+     * tree's internal counters plus the cache-vs-shared-account
+     * lockstep (tree blocks == shared blocks). Fatal on drift.
+     * O(requests + tree).
      */
     void AuditLedger() const;
 
     // ---- pool observers ----
-    long BlocksFor(int tokens) const { return pool_.BlocksFor(tokens); }
-    long TotalBlocks() const { return pool_.TotalBlocks(); }
-    long UsedBlocks() const { return pool_.UsedBlocks(); }
-    long FreeBlocks() const { return pool_.FreeBlocks(); }
-    int BlockSize() const { return pool_.BlockSize(); }
-    double Utilization() const { return pool_.Utilization(); }
+
+    /** Blocks needed to hold `tokens` tokens; `tokens` must be >= 0. */
+    long BlocksFor(int tokens) const;
+
+    long TotalBlocks() const { return total_blocks_; }
+    long UsedBlocks() const { return used_blocks_; }
+    long FreeBlocks() const { return total_blocks_ - used_blocks_; }
+    int BlockSize() const { return block_size_; }
+
+    /** Fraction of the pool in use. */
+    double
+    Utilization() const
+    {
+        return static_cast<double>(used_blocks_) / total_blocks_;
+    }
 
     /** Blocks currently reserved on-device by a request. */
-    long Held(int request_id) const { return pool_.Held(request_id); }
+    long Held(int request_id) const;
 
     /**
      * Free-pool headroom above the admission watermark, as a
@@ -204,8 +225,34 @@ class KvAllocator
     }
 
   private:
-    /** Hash chain for a request, computed once and cached by id. */
-    const std::vector<uint64_t>& HashesFor(const RequestState& state);
+    /** One request's KV state. Made by its first successful
+     * admission, or by its first admission attempt when the prefix
+     * cache hashes the prompt; erased by Release. */
+    struct Record
+    {
+        /** Holds an on-device reservation (admission .. eviction or
+         * release); a zero-block reservation still counts. */
+        bool reserved = false;
+        /** Private on-device blocks; 0 without a reservation. */
+        long held = 0;
+        /** Host-side footprint left by a swap eviction. */
+        long swapped = 0;
+        /** Block hash chain, computed once when the record is made
+         * (prefix cache only). */
+        std::vector<uint64_t> hashes;
+    };
+
+    /** The request's record, made with its hash chain on first use
+     * (prefix cache only). */
+    Record& HashedRecord(const RequestState& state);
+
+    /** The record of a request holding a reservation; fatal if it
+     * holds none. */
+    Record& Reserved(int request_id);
+
+    /** Return `blocks` from the shared account to the free pool.
+     * Fatal if the account holds fewer (double-free guard). */
+    void ReleaseShared(long blocks);
 
     /** Blocks the next materialized token needs beyond the held and
      * cache-covered ones (kWatermark). */
@@ -220,17 +267,19 @@ class KvAllocator
     /** Admission watermark as a fraction of the pool (0 = none). */
     double watermark_;
     long watermark_blocks_;
-    BlockKvManager pool_;
+    long total_blocks_;
+    int block_size_;
+    /** Blocks reserved by requests plus the shared account. */
+    long used_blocks_ = 0;
+    /** Cached prompt blocks, owned by no single request. */
+    long shared_blocks_ = 0;
     int last_admit_cached_tokens_ = 0;
-
-    /** Host-side footprints of swapped-out requests. */
-    std::unordered_map<int, long> swapped_out_;
 
     /** The radix prefix cache; null when prefix caching is off. */
     std::unique_ptr<prefix::PrefixCache> cache_;
 
-    /** Hash chains of in-flight requests (admission .. release). */
-    std::unordered_map<int, std::vector<uint64_t>> hashes_;
+    /** Per-request records, by request id. */
+    std::unordered_map<int, Record> records_;
 };
 
 }  // namespace pod::serve

@@ -22,10 +22,10 @@
  * never freed out from under a live request by construction.
  *
  * The cache is pure hash bookkeeping: the block *counts* it caches
- * live in BlockKvManager's shared account, and the owning allocator
- * (serve/kv_allocator.h) keeps the two in lockstep
- * (TotalBlocks() == pool.SharedBlocks(), audited by the randomized
- * CoW oracle test).
+ * live in the owning allocator's shared account
+ * (serve/kv_allocator.h), which keeps the two in lockstep
+ * (TotalBlocks() == the shared block count, audited by the
+ * randomized CoW oracle test).
  */
 #ifndef POD_SERVE_PREFIX_PREFIX_CACHE_H
 #define POD_SERVE_PREFIX_PREFIX_CACHE_H

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for SampleStats and GeoMean.
+ * Unit tests for SampleStats.
  */
 #include "common/stats.h"
 
@@ -86,13 +86,6 @@ TEST(SampleStats, SingleSample)
     EXPECT_DOUBLE_EQ(s.Percentile(50), 7.0);
     EXPECT_DOUBLE_EQ(s.Percentile(100), 7.0);
     EXPECT_DOUBLE_EQ(s.Stddev(), 0.0);
-}
-
-TEST(SampleStats, SummaryMentionsCount)
-{
-    SampleStats s;
-    s.AddAll({1.0, 2.0});
-    EXPECT_NE(s.Summary().find("n=2"), std::string::npos);
 }
 
 TEST(SampleStats, MomentsUnchangedByPercentileQueries)
@@ -291,14 +284,6 @@ TEST(SampleStats, RandomizedRunsMatchPlainVectorBitForBit)
         EXPECT_LE(s.Runs().size(), static_cast<size_t>(runs));
         ExpectMatchesReference(s, ref, pool);
     }
-}
-
-TEST(GeoMean, Basics)
-{
-    EXPECT_DOUBLE_EQ(GeoMean({}), 0.0);
-    EXPECT_DOUBLE_EQ(GeoMean({4.0}), 4.0);
-    EXPECT_NEAR(GeoMean({1.0, 4.0}), 2.0, 1e-12);
-    EXPECT_NEAR(GeoMean({2.0, 8.0}), 4.0, 1e-12);
 }
 
 }  // namespace

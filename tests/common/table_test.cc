@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the console table / CSV writer.
+ * Unit tests for the console table writer.
  */
 #include "common/table.h"
 
@@ -23,24 +23,6 @@ TEST(Table, PrintAligned)
     EXPECT_NE(out.find("alpha"), std::string::npos);
     EXPECT_NE(out.find("22"), std::string::npos);
     EXPECT_EQ(t.RowCount(), 2u);
-}
-
-TEST(Table, Csv)
-{
-    Table t({"a", "b"});
-    t.AddRow({"x,y", "plain"});
-    std::ostringstream os;
-    t.PrintCsv(os);
-    EXPECT_EQ(os.str(), "a,b\n\"x,y\",plain\n");
-}
-
-TEST(Table, CsvQuoteEscaping)
-{
-    Table t({"a"});
-    t.AddRow({"say \"hi\""});
-    std::ostringstream os;
-    t.PrintCsv(os);
-    EXPECT_EQ(os.str(), "a\n\"say \"\"hi\"\"\"\n");
 }
 
 TEST(Table, Formatters)

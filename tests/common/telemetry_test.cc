@@ -256,10 +256,6 @@ TEST(Profiler, FillRegistryPublishesPhaseAndThreadStats)
     EXPECT_TRUE(registry.Contains("profile.thread0.busy_seconds"));
     EXPECT_TRUE(
         registry.Contains("profile.thread1.barrier_wait_seconds"));
-
-    std::string summary = profile.Summary();
-    EXPECT_NE(summary.find("advance"), std::string::npos);
-    EXPECT_NE(summary.find("thread"), std::string::npos);
 }
 
 }  // namespace

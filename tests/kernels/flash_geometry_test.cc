@@ -215,10 +215,8 @@ TEST(SplitHeuristics, LimitedShortContext)
 
 TEST(PrefillGeometry, PhasesBounded)
 {
-    GeomOptions opts = Opts(PrefillTileLarge());
-    opts.phases_per_unit = 4;
-    UnitGeometry geom = BuildPrefillUnits(Shape(2, 2),
-                                          PrefillItem{1024, 16384}, opts);
+    UnitGeometry geom = BuildPrefillUnits(
+        Shape(2, 2), PrefillItem{1024, 16384}, Opts(PrefillTileLarge()));
     for (const auto& unit : geom.units) {
         EXPECT_LE(unit.phases.size(), 4u);
         EXPECT_GE(unit.phases.size(), 1u);

@@ -22,7 +22,7 @@
 namespace pod::serve {
 namespace {
 
-// BlockKvManager unit tests live in tests/serve/kv_manager_test.cc;
+// KV pool ledger tests live in tests/serve/kv_allocator_test.cc;
 // allocator-policy tests in tests/serve/preemption_test.cc.
 
 TEST(TraceTest, UniformTrace)
