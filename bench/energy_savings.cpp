@@ -6,6 +6,7 @@
  * same filtered hybrid-batch sweep as Figure 11 (single model for
  * brevity).
  */
+#include <cmath>
 #include <iostream>
 
 #include "bench_util.h"

@@ -32,12 +32,9 @@ main()
     Table t(headers);
 
     for (int iters = 20; iters <= 200; iters += 20) {
-        MicroParams params;
-        params.compute_iters = iters;
-        params.memory_iters = 100;
         std::vector<std::string> row = {Table::Int(iters)};
         for (auto s : strategies) {
-            double time = RunMicroStrategy(s, params, gpu);
+            double time = RunMicroStrategy(s, iters, gpu);
             row.push_back(Table::Num(time * 1e3, 3) + " ms");
         }
         t.AddRow(row);

@@ -45,11 +45,10 @@ void
 BM_MicroStrategy(benchmark::State& state)
 {
     auto strategy = static_cast<kernels::FusionStrategy>(state.range(0));
-    kernels::MicroParams params;
     gpusim::GpuSpec gpu = A100();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            kernels::RunMicroStrategy(strategy, params, gpu));
+            kernels::RunMicroStrategy(strategy, /*compute_iters=*/100, gpu));
     }
 }
 BENCHMARK(BM_MicroStrategy)

@@ -39,7 +39,6 @@ main()
                                    /*decode_ctx=*/12288);
 
     gpusim::GpuSpec gpu = gpusim::GpuSpec::A100Sxm80GB();
-    PodAttention pod(gpu);
 
     std::printf("Hybrid batch: %s\nGPU: %s\n\n", batch.Describe().c_str(),
                 gpu.name.c_str());
@@ -47,9 +46,11 @@ main()
     Table table({"backend", "time (ms)", "speedup", "tensor util",
                  "mem util", "energy (J)", "CTAs"});
     double serial_time = 0.0;
+    AttnRunResult podr;
     for (Backend backend : AllBackends()) {
-        AttnRunResult r = pod.Run(batch, backend);
+        AttnRunResult r = RunAttention(backend, batch, gpu);
         if (backend == Backend::kFaSerial) serial_time = r.total_time;
+        if (backend == Backend::kPod) podr = r;
         table.AddRow({BackendName(backend), Table::Num(ToMs(r.total_time), 3),
                       Table::Num(serial_time / r.total_time, 2) + "x",
                       Table::Pct(r.tensor_util), Table::Pct(r.mem_util),
@@ -58,7 +59,6 @@ main()
     }
     table.Print(std::cout);
 
-    AttnRunResult podr = pod.Run(batch);
     std::printf("\nPOD plan: %d CTAs/SM, prefill tile %dx%d, "
                 "%d prefill CTAs (splits=%d), %d decode virtual units "
                 "(splits=%d) in %d physical CTAs, policy %d:%d\n",
@@ -70,6 +70,6 @@ main()
                 podr.pod_plan.decode_physical_ctas,
                 podr.pod_plan.policy.ratio_a, podr.pod_plan.policy.ratio_b);
     std::printf("Speedup over FA_Serial: %.2fx\n",
-                pod.SpeedupOverSerial(batch));
+                serial_time / podr.total_time);
     return 0;
 }

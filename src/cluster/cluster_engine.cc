@@ -77,17 +77,16 @@ ClusterEngine::Replica(int index) const
 }
 
 void
-ClusterEngine::EnableTracing(size_t reserve_events)
+ClusterEngine::EnableTracing()
 {
     if (!recorders_.empty()) return;
     recorders_.reserve(replicas_.size() + 1);
-    recorders_.emplace_back(0, "cluster", reserve_events);
+    recorders_.emplace_back(0, "cluster");
     for (size_t r = 0; r < replicas_.size(); ++r) {
         recorders_.emplace_back(
             static_cast<int>(r) + 1,
             "replica" + std::to_string(r) + " (" +
-                replicas_[r].Config().gpu.name + ")",
-            reserve_events);
+                replicas_[r].Config().gpu.name + ")");
         // The vector never grows past this reserve, so the pointer
         // handed to the engine stays valid for the engine's lifetime.
         replicas_[r].SetTraceRecorder(&recorders_[r + 1]);

@@ -125,7 +125,7 @@ class ClusterEngine
      * replica, so tracing adds no synchronization; buffers are cleared
      * at the start of every Run(). Idempotent.
      */
-    void EnableTracing(size_t reserve_events = 4096);
+    void EnableTracing();
 
     /**
      * Merge all recorders into one Chrome trace-event JSON document.

@@ -18,6 +18,12 @@ namespace pod::telemetry {
 
 namespace {
 
+/**
+ * Events preallocated per recorder; the buffer grows beyond it if a
+ * scenario outruns the estimate.
+ */
+constexpr size_t kReservedEvents = 4096;
+
 /** Per-kind argument labels (nullptr = argument unused). */
 struct KindInfo
 {
@@ -66,11 +72,10 @@ EventKindIsSpan(EventKind kind)
     return Info(kind).is_span;
 }
 
-TraceRecorder::TraceRecorder(int pid, std::string process_name,
-                             size_t reserve_events)
+TraceRecorder::TraceRecorder(int pid, std::string process_name)
     : pid_(pid), process_name_(std::move(process_name))
 {
-    events_.reserve(reserve_events);
+    events_.reserve(kReservedEvents);
 }
 
 void

@@ -85,11 +85,8 @@ class TraceRecorder
      * @param pid Chrome process id (cluster convention: 0 = router,
      *        replica r = r + 1).
      * @param process_name shown as the Perfetto process name.
-     * @param reserve_events preallocated capacity; the buffer grows
-     *        beyond it if a scenario outruns the estimate.
      */
-    explicit TraceRecorder(int pid, std::string process_name,
-                           size_t reserve_events = 4096);
+    explicit TraceRecorder(int pid, std::string process_name);
 
     int Pid() const { return pid_; }
 

@@ -10,6 +10,7 @@
 #include "common/math_util.h"
 #include "kernels/attn_kernels.h"
 #include "kernels/flash_geometry.h"
+#include "kernels/sm_aware.h"
 #include "kernels/tile.h"
 
 namespace pod::core {
@@ -226,8 +227,17 @@ RunAttention(Backend backend, const HybridBatch& batch,
         opts.tile = kernels::TileConfig{64, 64, 4};
         UnitGeometry decode = kernels::BuildDecodeAsPrefillUnits(
             batch.shape, batch.decode, opts);
-        gpusim::KernelDesc kernel = kernels::MakeBatchedPrefillKernel(
-            "fi_batched", prefill, decode);
+        // One ragged-batch prefill kernel: CTAs interleave
+        // proportionally, approximating the order it emits them
+        // (chunk first, then decode rows, tiled across heads). Both
+        // sides use a prefill tile; take the larger footprint.
+        gpusim::CtaResources res{
+            std::max(prefill.resources.threads, decode.resources.threads),
+            std::max(prefill.resources.shared_mem_bytes,
+                     decode.resources.shared_mem_bytes)};
+        gpusim::KernelDesc kernel = kernels::MakeCtaParallelKernel(
+            "fi_batched", res, kernels::OneCtaPerUnit(prefill),
+            kernels::OneCtaPerUnit(decode));
         return MakeResult(backend, engine.RunKernel(kernel), spec,
                           prefill.useful_tensor_flops +
                               decode.useful_tensor_flops);
@@ -236,27 +246,6 @@ RunAttention(Backend backend, const HybridBatch& batch,
         return RunPod(batch, spec, options);
     }
     Panic("unknown attention backend");
-}
-
-PodAttention::PodAttention(gpusim::GpuSpec spec, AttnRunOptions options)
-    : spec_(std::move(spec)), options_(options)
-{
-    spec_.Validate();
-}
-
-AttnRunResult
-PodAttention::Run(const HybridBatch& batch, Backend backend) const
-{
-    return RunAttention(backend, batch, spec_, options_);
-}
-
-double
-PodAttention::SpeedupOverSerial(const HybridBatch& batch) const
-{
-    AttnRunResult pod = Run(batch, Backend::kPod);
-    AttnRunResult serial = Run(batch, Backend::kFaSerial);
-    POD_ASSERT(pod.total_time > 0.0);
-    return serial.total_time / pod.total_time;
 }
 
 }  // namespace pod::core

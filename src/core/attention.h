@@ -50,7 +50,7 @@ struct AttnRunOptions
     /** POD-specific configuration. */
     PodOptions pod;
 
-    /** Simulator options (seed, jitter, launch overhead). */
+    /** Simulator options (event core, launch overhead). */
     gpusim::SimOptions sim;
 };
 
@@ -95,47 +95,24 @@ struct AttnRunResult
 };
 
 /**
- * Execute one hybrid batch's attention with a backend.
+ * Execute one hybrid batch's attention with a backend: the library's
+ * main entry point.
  * Handles degenerate (prefill-only / decode-only) batches by running
  * the corresponding standalone kernel.
+ *
+ * Typical use:
+ * @code
+ *   auto gpu = gpusim::GpuSpec::A100Sxm80GB();
+ *   auto batch = kernels::HybridBatch::Make(shape, 1024, 12288, 80,
+ *                                           12288);
+ *   auto pod = RunAttention(Backend::kPod, batch, gpu);
+ *   auto serial = RunAttention(Backend::kFaSerial, batch, gpu);
+ * @endcode
  */
 AttnRunResult RunAttention(Backend backend,
                            const kernels::HybridBatch& batch,
                            const gpusim::GpuSpec& spec,
                            const AttnRunOptions& options = AttnRunOptions());
-
-/**
- * High-level convenience wrapper bound to one device: the library's
- * main entry point.
- *
- * Typical use:
- * @code
- *   PodAttention pod(gpusim::GpuSpec::A100Sxm80GB());
- *   auto batch = kernels::HybridBatch::Make(shape, 1024, 12288, 80,
- *                                           12288);
- *   auto result = pod.Run(batch);               // POD backend
- *   auto serial = pod.Run(batch, Backend::kFaSerial);
- * @endcode
- */
-class PodAttention
-{
-  public:
-    explicit PodAttention(gpusim::GpuSpec spec,
-                          AttnRunOptions options = AttnRunOptions());
-
-    /** Run a hybrid batch with the POD backend (or any other). */
-    AttnRunResult Run(const kernels::HybridBatch& batch,
-                      Backend backend = Backend::kPod) const;
-
-    /** Speedup of POD over FA_Serial for a batch (1.0 = parity). */
-    double SpeedupOverSerial(const kernels::HybridBatch& batch) const;
-
-    AttnRunOptions& Options() { return options_; }
-
-  private:
-    gpusim::GpuSpec spec_;
-    AttnRunOptions options_;
-};
 
 }  // namespace pod::core
 

@@ -986,9 +986,6 @@ FluidEngine::FluidEngine(GpuSpec spec, SimOptions options)
     : spec_(std::move(spec)), options_(options)
 {
     spec_.Validate();
-    POD_CHECK_ARG(options_.placement_jitter >= 0.0 &&
-                      options_.placement_jitter <= 1.0,
-                  "placement jitter must be a probability");
     POD_CHECK_ARG(options_.kernel_launch_overhead >= 0.0,
                   "launch overhead must be >= 0");
 }

@@ -24,7 +24,6 @@
 
 #include <vector>
 
-#include "common/rng.h"
 #include "gpusim/gpu_spec.h"
 #include "gpusim/sim_result.h"
 #include "gpusim/work.h"
@@ -58,17 +57,8 @@ enum class EngineCore
 /** Engine configuration. */
 struct SimOptions
 {
-    /** Seed for placement tie-breaking. */
-    uint64_t seed = 1;
-
     /** Record per-CTA completion times in the result. */
     bool record_cta_times = false;
-
-    /**
-     * Probability that the hardware scheduler skips an otherwise
-     * chosen SM, modelling placement nondeterminism. 0 disables.
-     */
-    double placement_jitter = 0.0;
 
     /**
      * Fixed per-kernel launch overhead in seconds, charged when a
@@ -83,8 +73,7 @@ struct SimOptions
     bool
     operator==(const SimOptions& o) const
     {
-        return seed == o.seed && record_cta_times == o.record_cta_times &&
-               placement_jitter == o.placement_jitter &&
+        return record_cta_times == o.record_cta_times &&
                kernel_launch_overhead == o.kernel_launch_overhead &&
                core == o.core;
     }

@@ -4,8 +4,8 @@
  *
  * The analytic core (engine.cc) and the stepwise exact oracle
  * (engine_oracle.cc) must agree on everything that is *not* rate
- * arithmetic: kernel/stream sequencing, CTA placement (PickSm and its
- * RNG draws), occupancy accounting, phase/refill transitions and
+ * arithmetic: kernel/stream sequencing, CTA placement (PickSm),
+ * occupancy accounting, phase/refill transitions and
  * result assembly. Any drift there would turn placement differences
  * into unbounded divergence between the cores, so that machinery
  * lives here once, as a CRTP base, and each core supplies only its
@@ -29,9 +29,8 @@
  * footprint fits on, refreshed for the one SM a dispatch or retirement
  * changes. PickSm walks that bitset with count-trailing-zeros in the
  * same circular order as a linear first-fit scan from the round-robin
- * pointer, so it picks the same SMs and makes the same RNG draws, and
- * a placement that fails because the GPU is full costs O(words)
- * instead of O(SMs).
+ * pointer, so it picks the same SMs, and a placement that fails
+ * because the GPU is full costs O(words) instead of O(SMs).
  */
 #ifndef POD_GPUSIM_ENGINE_INTERNAL_H
 #define POD_GPUSIM_ENGINE_INTERNAL_H
@@ -43,7 +42,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "gpusim/engine.h"
 #include "gpusim/gpu_spec.h"
 #include "gpusim/sim_result.h"
@@ -151,7 +149,7 @@ class SimulationBase
   protected:
     SimulationBase(const GpuSpec& spec, const SimOptions& options,
                    const std::vector<KernelLaunch>& launches)
-        : spec_(spec), options_(options), rng_(options.seed)
+        : spec_(spec), options_(options)
     {
         size_t num_sms = static_cast<size_t>(spec_.num_sms);
         sms_.resize(num_sms);
@@ -268,9 +266,8 @@ class SimulationBase
 
     /**
      * Choose an SM for the next CTA: first fit scanning round-robin
-     * from a rotating pointer (models the hardware work distributor),
-     * optionally skipping to the next fit with placement_jitter
-     * probability. Returns -1 if nothing fits.
+     * from a rotating pointer (models the hardware work distributor).
+     * Returns -1 if nothing fits.
      */
     int
     PickSm(int kernel_id)
@@ -279,22 +276,9 @@ class SimulationBase
             &fit_words_[static_cast<size_t>(kernel_id) * fit_stride_];
         const int n = spec_.num_sms;
         // Circular order from the pointer: [rr, n), then [0, rr).
-        int first_fit = FirstFitIn(fit, rr_pointer_, n);
-        const bool wrapped = first_fit < 0;
-        if (wrapped) first_fit = FirstFitIn(fit, 0, rr_pointer_);
-        if (first_fit < 0) return -1;
-        int chosen = first_fit;
-        if (options_.placement_jitter > 0.0) {
-            int second_fit =
-                FirstFitIn(fit, first_fit + 1, wrapped ? rr_pointer_ : n);
-            if (second_fit < 0 && !wrapped) {
-                second_fit = FirstFitIn(fit, 0, rr_pointer_);
-            }
-            if (second_fit >= 0 &&
-                rng_.Bernoulli(options_.placement_jitter)) {
-                chosen = second_fit;
-            }
-        }
+        int chosen = FirstFitIn(fit, rr_pointer_, n);
+        if (chosen < 0) chosen = FirstFitIn(fit, 0, rr_pointer_);
+        if (chosen < 0) return -1;
         rr_pointer_ = (chosen + 1) % n;
         return chosen;
     }
@@ -578,7 +562,6 @@ class SimulationBase
 
     const GpuSpec& spec_;
     const SimOptions& options_;
-    Rng rng_;
 
     std::vector<SmState> sms_;
     std::vector<KernelState> kernels_;

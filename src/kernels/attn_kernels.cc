@@ -7,51 +7,24 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "kernels/sm_aware.h"
 
 namespace pod::kernels {
+
+std::vector<gpusim::CtaWork>
+OneCtaPerUnit(const UnitGeometry& geom)
+{
+    std::vector<gpusim::CtaWork> works(geom.units.size());
+    for (size_t i = 0; i < works.size(); ++i) {
+        works[i].units.push_back(geom.units[i]);
+    }
+    return works;
+}
 
 gpusim::KernelDesc
 MakeSimpleKernel(std::string name, const UnitGeometry& geom)
 {
-    std::vector<gpusim::CtaWork> works;
-    works.reserve(geom.units.size());
-    for (const auto& unit : geom.units) {
-        gpusim::CtaWork work;
-        work.units.push_back(unit);
-        works.push_back(std::move(work));
-    }
     return gpusim::KernelDesc::FromWorks(std::move(name), geom.resources,
-                                         std::move(works));
-}
-
-gpusim::KernelDesc
-MakeBatchedPrefillKernel(std::string name, const UnitGeometry& prefill,
-                         const UnitGeometry& decode)
-{
-    // Both sides were built with the same (prefill) tile, so their
-    // footprints match; take the larger to be safe.
-    gpusim::CtaResources res;
-    res.threads =
-        std::max(prefill.resources.threads, decode.resources.threads);
-    res.shared_mem_bytes = std::max(prefill.resources.shared_mem_bytes,
-                                    decode.resources.shared_mem_bytes);
-
-    // Interleave proportionally, approximating the CTA order a
-    // ragged-batch prefill kernel produces (requests in submission
-    // order: chunk first, then decode rows, tiled across heads).
-    std::vector<gpusim::CtaWork> works;
-    works.reserve(prefill.units.size() + decode.units.size());
-    InterleaveProportionally(
-        prefill.units.size(), decode.units.size(),
-        [&](bool take_prefill, size_t i) {
-            gpusim::CtaWork work;
-            work.units.push_back(take_prefill ? prefill.units[i]
-                                              : decode.units[i]);
-            works.push_back(std::move(work));
-        });
-    return gpusim::KernelDesc::FromWorks(std::move(name), res,
-                                         std::move(works));
+                                         OneCtaPerUnit(geom));
 }
 
 gpusim::KernelDesc

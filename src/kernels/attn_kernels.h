@@ -5,18 +5,23 @@
  * These functions wrap UnitGeometry work lists into simulator
  * KernelDescs for the execution strategies the paper compares
  * against: standalone prefill/decode kernels (FA/FI serial and
- * streams), the FI_Batched single-kernel strategy, and HFuse-style
- * warp-parallel fusion with its straggler semantics (paper S3).
+ * streams) and HFuse-style warp-parallel fusion with its straggler
+ * semantics (paper S3). The FI_Batched single-kernel strategy is a
+ * CTA-parallel kernel (sm_aware.h) over two OneCtaPerUnit lists.
  */
 #ifndef POD_KERNELS_ATTN_KERNELS_H
 #define POD_KERNELS_ATTN_KERNELS_H
 
 #include <string>
+#include <vector>
 
 #include "gpusim/work.h"
 #include "kernels/flash_geometry.h"
 
 namespace pod::kernels {
+
+/** One CTA per work unit of a geometry, in unit order. */
+std::vector<gpusim::CtaWork> OneCtaPerUnit(const UnitGeometry& geom);
 
 /**
  * Wrap a geometry into a plain kernel: one CTA per work unit, CTAs
@@ -24,16 +29,6 @@ namespace pod::kernels {
  */
 gpusim::KernelDesc MakeSimpleKernel(std::string name,
                                     const UnitGeometry& geom);
-
-/**
- * FI_Batched: a single prefill-tile kernel computing both the prefill
- * chunk and the (padded) decode tokens. CTAs are interleaved
- * round-robin between the two unit lists, as a ragged-batch prefill
- * kernel would emit them.
- */
-gpusim::KernelDesc MakeBatchedPrefillKernel(std::string name,
-                                            const UnitGeometry& prefill,
-                                            const UnitGeometry& decode);
 
 /**
  * HFuse-style horizontal (warp-parallel) fusion: CTA i hosts prefill

@@ -18,6 +18,20 @@ namespace {
 constexpr int kMaxPhasesPerUnit = 4;
 
 /**
+ * Fraction of *repeated* KV-cache reads that miss L2 and reach DRAM.
+ * KV tiles are re-read once per query tile and per GQA group member;
+ * the 40 MB A100 L2 absorbs most repeats. The first read always pays
+ * DRAM. Calibration constant (docs/DESIGN.md S5.5).
+ */
+constexpr double kL2MissFraction = 0.12;
+
+/** Fewest KV tokens one decode split covers. */
+constexpr int kMinKvPerSplit = 256;
+
+/** Most KV splits of one decode. */
+constexpr int kMaxDecodeSplits = 16;
+
+/**
  * Distribute a unit's total demands over its barrier-delimited
  * phases. Flash kernels iterate KV tiles with a barrier per tile; we
  * coalesce those iterations into at most kMaxPhasesPerUnit phases
@@ -91,8 +105,8 @@ BuildPrefillUnits(const AttnShape& shape, const PrefillItem& prefill,
 
     // Each KV-head's cache is read once per query tile and per GQA
     // group member; later reads mostly hit L2.
-    double kv_dram = KvDramFactor(q_tiles * shape.GroupSize(),
-                                  options.l2_miss_fraction);
+    double kv_dram =
+        KvDramFactor(q_tiles * shape.GroupSize(), kL2MissFraction);
 
     for (int head = 0; head < shape.num_q_heads; ++head) {
         for (int qt = 0; qt < q_tiles; ++qt) {
@@ -212,7 +226,7 @@ BuildDecodeAsPrefillUnits(const AttnShape& shape, const DecodeItem& decode,
     // interfere with the co-running prefill -- the FI_Batched
     // pathology (paper S5.1, Fig. 11).
     double kv_dram =
-        KvDramFactor(shape.GroupSize(), options.l2_miss_fraction);
+        KvDramFactor(shape.GroupSize(), kL2MissFraction);
     for (int ctx : decode.context_lens) {
         int ctx_padded = RoundUp(ctx, tile.tile_kv);
         for (int head = 0; head < shape.num_q_heads; ++head) {
@@ -241,25 +255,21 @@ BuildDecodeAsPrefillUnits(const AttnShape& shape, const DecodeItem& decode,
 }
 
 int
-FlashDecodingSplits(int base_ctas, int min_context, int target_ctas,
-                    int min_kv_per_split, int max_splits)
+FlashDecodingSplits(int base_ctas, int min_context, int target_ctas)
 {
     if (base_ctas <= 0) return 1;
     int splits = CeilDiv(std::max(1, target_ctas), base_ctas);
-    splits = Clamp(splits, 1, max_splits);
-    int ctx_bound = std::max(1, min_context / std::max(1, min_kv_per_split));
-    return Clamp(splits, 1, ctx_bound);
+    splits = Clamp(splits, 1, kMaxDecodeSplits);
+    return Clamp(splits, 1, std::max(1, min_context / kMinKvPerSplit));
 }
 
 int
-PodDecodeSplits(int base_units, int min_context, int slot_budget,
-                int min_kv_per_split, int max_splits)
+PodDecodeSplits(int base_units, int min_context, int slot_budget)
 {
     if (base_units <= 0) return 1;
     int splits = std::max(1, slot_budget / base_units);
-    splits = Clamp(splits, 1, max_splits);
-    int ctx_bound = std::max(1, min_context / std::max(1, min_kv_per_split));
-    return Clamp(splits, 1, ctx_bound);
+    splits = Clamp(splits, 1, kMaxDecodeSplits);
+    return Clamp(splits, 1, std::max(1, min_context / kMinKvPerSplit));
 }
 
 int

@@ -46,14 +46,6 @@ struct GeomOptions
      * the batch-size-dependent HBM saturation of Fig. 10b on A100.
      */
     double unit_mem_bw_cap = 16e9;
-
-    /**
-     * Fraction of *repeated* KV-cache reads that miss L2 and reach
-     * DRAM. KV tiles are re-read once per query tile and per GQA
-     * group member; the 40 MB A100 L2 absorbs most repeats. The first
-     * read always pays DRAM. Calibration constant (docs/DESIGN.md S5.5).
-     */
-    double l2_miss_fraction = 0.12;
 };
 
 /**
@@ -108,24 +100,22 @@ UnitGeometry BuildDecodeAsPrefillUnits(const AttnShape& shape,
 /**
  * FlashDecoding split heuristic: smallest split count that fills the
  * device with at least `target_ctas` CTAs, bounded so each split
- * still covers `min_kv_per_split` KV tokens, and capped at
- * `max_splits`.
+ * still covers 256 KV tokens, and capped at 16 splits.
  *
  * @param base_ctas CTA count at one split.
  * @param min_context smallest KV length being split.
  */
-int FlashDecodingSplits(int base_ctas, int min_context, int target_ctas,
-                        int min_kv_per_split = 256, int max_splits = 16);
+int FlashDecodingSplits(int base_ctas, int min_context, int target_ctas);
 
 /**
  * POD's decode split choice: the largest split count that does NOT
- * overflow `slot_budget` work units (floor semantics). Overshooting
+ * overflow `slot_budget` work units (floor semantics), under the same
+ * 256-token and 16-split bounds as FlashDecodingSplits. Overshooting
  * the budget would leave a straggler wave of decode CTAs running
  * nearly alone after the bulk finishes, wiping out the fusion gain on
  * decode-dominated batches.
  */
-int PodDecodeSplits(int base_units, int min_context, int slot_budget,
-                    int min_kv_per_split = 256, int max_splits = 16);
+int PodDecodeSplits(int base_units, int min_context, int slot_budget);
 
 /**
  * Vanilla (un-limited) prefill split count used by FlashAttention for

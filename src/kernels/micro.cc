@@ -17,37 +17,44 @@ namespace {
 /** Threads per micro CTA: large CTAs, two resident per SM. */
 constexpr int kMicroThreads = 1024;
 
-/** Resolved (auto-calibrated) parameters. */
-struct Resolved
+/** Iterations of the memory kernel. */
+constexpr int kMemoryIters = 100;
+
+/**
+ * Fraction of a fused iteration's memory traffic that intra-thread
+ * fusion can hide under compute; the barrier after each iteration
+ * prevents hiding the rest (paper S3.1, "Intra-thread").
+ */
+constexpr double kIntraThreadOverlap = 0.4;
+
+/**
+ * Per-CTA work of one iteration, calibrated so that kMemoryIters
+ * iterations take 1 ms with the device fully occupied (2 CTAs per SM)
+ * -- matching the paper's "at 100 compute iterations, both operations
+ * consume equal time" setup.
+ */
+struct Calibration
 {
     int ctas;
     double flops_per_iter;
     double bytes_per_iter;
 };
 
-Resolved
-ResolveParams(const MicroParams& params, const gpusim::GpuSpec& spec)
+Calibration
+Calibrate(const gpusim::GpuSpec& spec)
 {
-    Resolved r;
-    r.ctas = params.ctas > 0 ? params.ctas : 2 * spec.num_sms;
-    // Calibrate so that 100 iterations take 1 ms with the device
-    // fully occupied -- matching the paper's "at 100 compute
-    // iterations, both operations consume equal time" setup.
     const double t0 = 1e-3;
-    const double iters0 = 100.0;
-    r.flops_per_iter =
-        params.flops_per_iter > 0.0
-            ? params.flops_per_iter
-            : spec.TotalCudaFlops() * t0 / (r.ctas * iters0);
-    r.bytes_per_iter = params.bytes_per_iter > 0.0
-                           ? params.bytes_per_iter
-                           : spec.hbm_bandwidth * t0 / (r.ctas * iters0);
+    const double iters0 = kMemoryIters;
+    Calibration r;
+    r.ctas = 2 * spec.num_sms;
+    r.flops_per_iter = spec.TotalCudaFlops() * t0 / (r.ctas * iters0);
+    r.bytes_per_iter = spec.hbm_bandwidth * t0 / (r.ctas * iters0);
     return r;
 }
 
 /** One compute-kernel CTA: compute_iters barrier-delimited multiplies. */
 gpusim::CtaWork
-ComputeCta(const Resolved& r, int iters)
+ComputeCta(const Calibration& r, int iters)
 {
     gpusim::WorkUnit unit;
     unit.op = gpusim::OpClass::kCompute;
@@ -61,15 +68,15 @@ ComputeCta(const Resolved& r, int iters)
     return work;
 }
 
-/** One memory-kernel CTA: memory_iters barrier-delimited array adds. */
+/** One memory-kernel CTA: kMemoryIters barrier-delimited array adds. */
 gpusim::CtaWork
-MemoryCta(const Resolved& r, int iters)
+MemoryCta(const Calibration& r)
 {
     gpusim::WorkUnit unit;
     unit.op = gpusim::OpClass::kMemory;
     unit.warps = kMicroThreads / 32;
-    unit.phases.reserve(static_cast<size_t>(iters));
-    for (int i = 0; i < iters; ++i) {
+    unit.phases.reserve(static_cast<size_t>(kMemoryIters));
+    for (int i = 0; i < kMemoryIters; ++i) {
         unit.phases.push_back(gpusim::Phase{0.0, 0.0, r.bytes_per_iter});
     }
     gpusim::CtaWork work;
@@ -91,29 +98,28 @@ MicroResources()
 
 /**
  * Intra-thread fused CTA: each iteration interleaves the compute
- * multiply with a slice of the memory add. Only `overlap` of the
- * memory traffic hides under the compute; the barrier forces the
- * remainder to run exposed (paper S3.1). Leftover iterations of the
- * longer op run pure.
+ * multiply with a slice of the memory add. Only kIntraThreadOverlap
+ * of the memory traffic hides under the compute; the barrier forces
+ * the remainder to run exposed (paper S3.1). Leftover iterations of
+ * the longer op run pure.
  */
 gpusim::CtaWork
-IntraThreadCta(const Resolved& r, int compute_iters, int memory_iters,
-               double overlap)
+IntraThreadCta(const Calibration& r, int compute_iters)
 {
     gpusim::WorkUnit unit;
     unit.op = gpusim::OpClass::kOther;
     unit.warps = kMicroThreads / 32;
-    int fused = std::min(compute_iters, memory_iters);
+    int fused = std::min(compute_iters, kMemoryIters);
     for (int i = 0; i < fused; ++i) {
         unit.phases.push_back(gpusim::Phase{
-            0.0, r.flops_per_iter, overlap * r.bytes_per_iter});
+            0.0, r.flops_per_iter, kIntraThreadOverlap * r.bytes_per_iter});
         unit.phases.push_back(gpusim::Phase{
-            0.0, 0.0, (1.0 - overlap) * r.bytes_per_iter});
+            0.0, 0.0, (1.0 - kIntraThreadOverlap) * r.bytes_per_iter});
     }
     for (int i = fused; i < compute_iters; ++i) {
         unit.phases.push_back(gpusim::Phase{0.0, r.flops_per_iter, 0.0});
     }
-    for (int i = fused; i < memory_iters; ++i) {
+    for (int i = fused; i < kMemoryIters; ++i) {
         unit.phases.push_back(gpusim::Phase{0.0, 0.0, r.bytes_per_iter});
     }
     gpusim::CtaWork work;
@@ -138,21 +144,20 @@ FusionStrategyName(FusionStrategy strategy)
 }
 
 double
-RunMicroStrategy(FusionStrategy strategy, const MicroParams& params,
+RunMicroStrategy(FusionStrategy strategy, int compute_iters,
                  const gpusim::GpuSpec& spec,
                  const gpusim::SimOptions& sim_options)
 {
-    POD_CHECK_ARG(params.compute_iters > 0 && params.memory_iters > 0,
-                  "iteration counts must be positive");
-    Resolved r = ResolveParams(params, spec);
+    POD_CHECK_ARG(compute_iters > 0, "compute iterations must be positive");
+    Calibration r = Calibrate(spec);
     gpusim::FluidEngine engine(spec, sim_options);
 
     gpusim::KernelDesc compute_kernel = gpusim::KernelDesc::FromWorks(
         "micro_compute", MicroResources(),
-        Replicate(ComputeCta(r, params.compute_iters), r.ctas));
+        Replicate(ComputeCta(r, compute_iters), r.ctas));
     gpusim::KernelDesc memory_kernel = gpusim::KernelDesc::FromWorks(
         "micro_memory", MicroResources(),
-        Replicate(MemoryCta(r, params.memory_iters), r.ctas));
+        Replicate(MemoryCta(r), r.ctas));
 
     switch (strategy) {
       case FusionStrategy::kSerial: {
@@ -170,24 +175,21 @@ RunMicroStrategy(FusionStrategy strategy, const MicroParams& params,
       case FusionStrategy::kCtaParallel: {
         gpusim::KernelDesc fused = MakeCtaParallelKernel(
             "micro_cta_fused", MicroResources(),
-            Replicate(ComputeCta(r, params.compute_iters), r.ctas),
-            Replicate(MemoryCta(r, params.memory_iters), r.ctas));
+            Replicate(ComputeCta(r, compute_iters), r.ctas),
+            Replicate(MemoryCta(r), r.ctas));
         return engine.RunKernel(fused).total_time;
       }
       case FusionStrategy::kIntraThread: {
         gpusim::KernelDesc fused = gpusim::KernelDesc::FromWorks(
             "micro_intra_thread", MicroResources(),
-            Replicate(IntraThreadCta(r, params.compute_iters,
-                                     params.memory_iters,
-                                     params.intra_thread_overlap),
-                      r.ctas));
+            Replicate(IntraThreadCta(r, compute_iters), r.ctas));
         return engine.RunKernel(fused).total_time;
       }
       case FusionStrategy::kSmAwareCta: {
         gpusim::KernelDesc fused = MakeSmAwareKernel(
             "micro_sm_aware", MicroResources(),
-            Replicate(ComputeCta(r, params.compute_iters), r.ctas),
-            Replicate(MemoryCta(r, params.memory_iters), r.ctas),
+            Replicate(ComputeCta(r, compute_iters), r.ctas),
+            Replicate(MemoryCta(r), r.ctas),
             SmAwarePolicy::FiftyFifty(), spec.num_sms);
         return engine.RunKernel(fused).total_time;
       }

@@ -30,40 +30,15 @@ enum class FusionStrategy : int {
 /** Printable strategy name. */
 const char* FusionStrategyName(FusionStrategy strategy);
 
-/** Micro-benchmark parameters. */
-struct MicroParams
-{
-    /** Iterations of the compute kernel (x axis of Fig. 7). */
-    int compute_iters = 100;
-
-    /** Iterations of the memory kernel. */
-    int memory_iters = 100;
-
-    /** CTAs per kernel; 0 = 2 x num_sms (fills the device). */
-    int ctas = 0;
-
-    /**
-     * CUDA FLOPs per compute iteration per CTA; 0 auto-calibrates so
-     * 100 iterations take 1 ms with the device full.
-     */
-    double flops_per_iter = 0.0;
-
-    /** Bytes per memory iteration per CTA; 0 auto-calibrates as above. */
-    double bytes_per_iter = 0.0;
-
-    /**
-     * Fraction of a fused iteration's memory traffic that intra-thread
-     * fusion can hide under compute; the barrier after each iteration
-     * prevents hiding the rest (paper S3.1, "Intra-thread").
-     */
-    double intra_thread_overlap = 0.4;
-};
-
 /**
  * Execute the micro-benchmark with one strategy and return the total
  * runtime in seconds.
+ * @param compute_iters iterations of the compute kernel (x axis of
+ *        Fig. 7). The memory kernel always runs 100 iterations, and
+ *        both kernels are calibrated so that 100 iterations take 1 ms
+ *        with the device full: 100 is the balanced point.
  */
-double RunMicroStrategy(FusionStrategy strategy, const MicroParams& params,
+double RunMicroStrategy(FusionStrategy strategy, int compute_iters,
                         const gpusim::GpuSpec& spec,
                         const gpusim::SimOptions& sim_options =
                             gpusim::SimOptions());

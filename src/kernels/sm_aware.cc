@@ -98,22 +98,26 @@ MakeSmAwareKernel(std::string name, gpusim::CtaResources resources,
 gpusim::KernelDesc
 MakeCtaParallelKernel(std::string name, gpusim::CtaResources resources,
                       std::vector<gpusim::CtaWork> works_a,
-                      std::vector<gpusim::CtaWork> works_b,
-                      int max_ctas_per_sm)
+                      std::vector<gpusim::CtaWork> works_b)
 {
-    // Static proportional interleaving by blockIdx; where a CTA runs
-    // is entirely up to the hardware scheduler.
+    // Static proportional interleaving by blockIdx, each step taking
+    // from the side behind its quota; where a CTA runs is entirely up
+    // to the hardware scheduler.
+    const size_t na = works_a.size();
+    const size_t nb = works_b.size();
     std::vector<gpusim::CtaWork> works;
-    works.reserve(works_a.size() + works_b.size());
-    InterleaveProportionally(
-        works_a.size(), works_b.size(), [&](bool take_a, size_t i) {
-            works.push_back(take_a ? std::move(works_a[i])
-                                   : std::move(works_b[i]));
-        });
-    gpusim::KernelDesc desc = gpusim::KernelDesc::FromWorks(
-        std::move(name), resources, std::move(works));
-    desc.max_ctas_per_sm = max_ctas_per_sm;
-    return desc;
+    works.reserve(na + nb);
+    size_t ia = 0;
+    size_t ib = 0;
+    while (ia < na || ib < nb) {
+        if (ib >= nb || (ia < na && ia * nb <= ib * na)) {
+            works.push_back(std::move(works_a[ia++]));
+        } else {
+            works.push_back(std::move(works_b[ib++]));
+        }
+    }
+    return gpusim::KernelDesc::FromWorks(std::move(name), resources,
+                                         std::move(works));
 }
 
 }  // namespace pod::kernels

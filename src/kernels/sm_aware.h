@@ -61,27 +61,6 @@ struct SmAwarePolicy
 };
 
 /**
- * Merge two lists of `na` and `nb` items in proportional order, each
- * step emitting from the side that is behind its quota: calls
- * `emit(true, i)` for the i-th A item and `emit(false, i)` for the
- * i-th B item, na + nb calls in all.
- */
-template <typename Emit>
-void
-InterleaveProportionally(size_t na, size_t nb, Emit emit)
-{
-    size_t ia = 0;
-    size_t ib = 0;
-    while (ia < na || ib < nb) {
-        if (ib >= nb || (ia < na && ia * nb <= ib * na)) {
-            emit(true, ia++);
-        } else {
-            emit(false, ib++);
-        }
-    }
-}
-
-/**
  * Build a fused kernel whose CTAs bind to op A or op B at dispatch
  * time via SM-aware scheduling.
  *
@@ -110,8 +89,7 @@ gpusim::KernelDesc MakeSmAwareKernel(std::string name,
 gpusim::KernelDesc MakeCtaParallelKernel(std::string name,
                                          gpusim::CtaResources resources,
                                          std::vector<gpusim::CtaWork> works_a,
-                                         std::vector<gpusim::CtaWork> works_b,
-                                         int max_ctas_per_sm = 0);
+                                         std::vector<gpusim::CtaWork> works_b);
 
 }  // namespace pod::kernels
 

@@ -121,7 +121,7 @@ KvAllocator::TryAdmit(const RequestState& state)
     } else {
         // Fresh or recompute-restored context: blocks for the prompt
         // (plus any generated tokens a recompute rebuilds); decode
-        // growth comes later through Append().
+        // growth comes later through TryAppend().
         needed = BlocksFor(state.PrefillTarget());
     }
 
@@ -184,39 +184,24 @@ KvAllocator::TryAdmit(const RequestState& state)
     return true;
 }
 
-long
-KvAllocator::GrowthNeed(const RequestState& state) const
+bool
+KvAllocator::TryGrow(const RequestState& state)
 {
+    // Blocks the token needs beyond the held and cache-covered ones.
     const int id = state.request.id;
     const long cover = cache_ ? cache_->RefBlocks(id) : 0;
-    return BlocksFor(state.ContextLen() + 1) - cover - Held(id);
-}
-
-bool
-KvAllocator::CanGrow(const RequestState& state) const
-{
-    // Dead cache subtrees count as headroom: Grow() reclaims them
-    // first, so a block parked at refcount 0 never forces a
-    // preemption.
-    long need = GrowthNeed(state);
-    long evictable = cache_ ? cache_->EvictableBlocks() : 0;
-    return need <= 0 || FreeBlocks() + evictable >= need;
-}
-
-void
-KvAllocator::Grow(const RequestState& state)
-{
-    long need = GrowthNeed(state);
-    if (need <= 0) return;
-    if (cache_ && FreeBlocks() < need) {
+    const long need = BlocksFor(state.ContextLen() + 1) - cover - Held(id);
+    if (need <= 0) return true;
+    Record& rec = Reserved(id);
+    const long evictable = cache_ ? cache_->EvictableBlocks() : 0;
+    if (FreeBlocks() + evictable < need) return false;
+    if (FreeBlocks() < need) {
         ReleaseShared(cache_->EvictLru(need - FreeBlocks()));
     }
-    Record& rec = Reserved(state.request.id);
-    POD_ASSERT_MSG(need <= FreeBlocks(),
-                   "Append() without CanAppend() on request %d",
-                   state.request.id);
+    POD_ASSERT(need <= FreeBlocks());  // the evictable count covered it
     rec.held += need;
     used_blocks_ += need;
+    return true;
 }
 
 long

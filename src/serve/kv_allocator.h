@@ -12,7 +12,7 @@
  *  - KvPolicy::kWatermark: vLLM semantics. Admission reserves the
  *    prefill target only and is gated on a free-block watermark;
  *    decode tokens grow the reservation one block at a time as they
- *    materialize (CanAppend/Append); under pressure the scheduler
+ *    materialize (TryAppend); under pressure the scheduler
  *    evicts victims (Evict), which either re-prefill their context
  *    (recompute) or park their blocks in host memory and pay PCIe
  *    transfer time both ways (swap).
@@ -113,24 +113,20 @@ class KvAllocator
     bool TryAdmit(const RequestState& state);
 
     /**
-     * Can the running request grow by the one token the next
-     * iteration materializes (context ContextLen() + 1)? Always
-     * under kConservative: the admission reserved the full context.
+     * Grow the running request's reservation by the one token the
+     * next iteration materializes (context ContextLen() + 1). Always
+     * succeeds under kConservative: the admission reserved the full
+     * context. Dead cache subtrees count as headroom and are
+     * LRU-evicted only when the growth then fits, so a block parked
+     * at refcount 0 never forces a preemption. Fatal if the growth
+     * needs a block and the request holds no reservation.
+     * @return true and the growth is made; false leaves the pool,
+     *         the cache and the record untouched.
      */
     bool
-    CanAppend(const RequestState& state) const
+    TryAppend(const RequestState& state)
     {
-        return policy_ == KvPolicy::kConservative || CanGrow(state);
-    }
-
-    /**
-     * Grow the running request's reservation for that token.
-     * Call only after CanAppend() returned true this iteration.
-     */
-    void
-    Append(const RequestState& state)
-    {
-        if (policy_ != KvPolicy::kConservative) Grow(state);
+        return policy_ == KvPolicy::kConservative || TryGrow(state);
     }
 
     /**
@@ -254,12 +250,8 @@ class KvAllocator
      * Fatal if the account holds fewer (double-free guard). */
     void ReleaseShared(long blocks);
 
-    /** Blocks the next materialized token needs beyond the held and
-     * cache-covered ones (kWatermark). */
-    long GrowthNeed(const RequestState& state) const;
-
-    bool CanGrow(const RequestState& state) const;
-    void Grow(const RequestState& state);
+    /** TryAppend under kWatermark. */
+    bool TryGrow(const RequestState& state);
 
     KvPolicy policy_;
     PreemptMode preempt_mode_;

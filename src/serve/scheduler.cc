@@ -175,16 +175,17 @@ ScheduleDecodes(std::vector<RequestState>& requests, KvAllocator& kv,
     size_t hi = running.size();  // victims pop from the back of [lo, hi)
     while (lo < hi) {
         RequestState& state = requests[static_cast<size_t>(running[lo])];
-        while (!kv.CanAppend(state) && hi - lo > 1) {
+        bool appended = kv.TryAppend(state);
+        while (!appended && hi - lo > 1) {
             --hi;
             Preempt(requests, running[hi], kv, q, decision);
+            appended = kv.TryAppend(state);
         }
-        if (!kv.CanAppend(state)) {
+        if (!appended) {
             Preempt(requests, running[lo], kv, q, decision);
             ++lo;
             continue;
         }
-        kv.Append(state);
         decision.batch.decodes.push_back(running[lo]);
         ++lo;
         if (static_cast<int>(decision.batch.decodes.size()) >=

@@ -164,14 +164,15 @@ TEST(RunAttention, FiBatchedDegradesAtLongContext)
 
 TEST(PodAttentionApi, RunAndSpeedup)
 {
-    PodAttention pod(gpusim::GpuSpec::A100Sxm80GB());
+    gpusim::GpuSpec spec = gpusim::GpuSpec::A100Sxm80GB();
     auto batch =
         kernels::HybridBatch::Make(Llama3Tp2(), 12288, 12288, 128, 12288);
-    AttnRunResult result = pod.Run(batch);
+    AttnRunResult result = RunAttention(Backend::kPod, batch, spec);
     EXPECT_EQ(result.backend, Backend::kPod);
     EXPECT_GT(result.pod_plan.prefill_ctas, 0);
-    double speedup = pod.SpeedupOverSerial(batch);
-    EXPECT_GT(speedup, 1.0);
+    double serial =
+        RunAttention(Backend::kFaSerial, batch, spec).total_time;
+    EXPECT_GT(serial / result.total_time, 1.0);
 }
 
 TEST(RunAttention, PersistentVariantOnPar)

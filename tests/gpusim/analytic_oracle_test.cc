@@ -4,9 +4,9 @@
  *
  * ~40 seeded random workloads (kernel count, stream layout, CTA
  * counts, phase shapes, warp counts, per-unit bandwidth caps,
- * residency limits, SM-aware assignment, persistent refill, placement
- * jitter, launch overhead) each run through the closed-form analytic
- * core and the stepwise ExactOracle core, then compared:
+ * residency limits, SM-aware assignment, persistent refill, launch
+ * overhead) each run through the closed-form analytic core and the
+ * stepwise ExactOracle core, then compared:
  *
  *  - every discrete field bit-exactly (CTA counts, per-op unit
  *    counts): the cores share all placement/dispatch/refill
@@ -80,7 +80,6 @@ struct WorkloadConfig
 {
     uint64_t sim_seed = 1;
     int gpu_pick = 0;  // 0=A100, 1=H100, 2=A6000
-    double jitter = 0.0;
     double launch_overhead = 0.0;
     int num_kernels = 1;
     int num_streams = 1;
@@ -91,7 +90,6 @@ struct WorkloadConfig
     {
         std::ostringstream os;
         os << "sim_seed=" << sim_seed << " gpu=" << gpu_pick
-           << " jitter=" << jitter
            << " launch_overhead=" << launch_overhead
            << " kernels=" << num_kernels << " streams=" << num_streams
            << " refill=" << use_refill;
@@ -105,7 +103,10 @@ DrawConfig(Rng& rng)
     WorkloadConfig c;
     c.sim_seed = static_cast<uint64_t>(rng.UniformInt(1, 1ll << 40));
     c.gpu_pick = static_cast<int>(rng.UniformInt(0, 2));
-    c.jitter = rng.Bernoulli(0.5) ? rng.UniformReal(0.05, 0.35) : 0.0;
+    // Draws with no use left (they picked the removed placement
+    // jitter), kept so every workload keeps the fields it was drawn
+    // with.
+    if (rng.Bernoulli(0.5)) rng.UniformReal(0.05, 0.35);
     c.launch_overhead = rng.Bernoulli(0.5) ? 3e-6 : 0.0;
     c.num_kernels = static_cast<int>(rng.UniformInt(1, 5));
     c.num_streams = static_cast<int>(rng.UniformInt(1, 3));
@@ -226,8 +227,6 @@ SimResult
 RunCore(const WorkloadConfig& c, EngineCore core)
 {
     SimOptions opt;
-    opt.seed = c.sim_seed;
-    opt.placement_jitter = c.jitter;
     opt.kernel_launch_overhead = c.launch_overhead;
     opt.record_cta_times = true;
     opt.core = core;

@@ -330,24 +330,6 @@ TEST(FluidEngine, BackfillAfterCompletion)
     EXPECT_NEAR(result.total_time, 4e-3, 1e-6);
 }
 
-TEST(FluidEngine, DeterministicWithSeed)
-{
-    GpuSpec spec = GpuSpec::TestGpu8Sm();
-    std::vector<CtaWork> works;
-    for (int i = 0; i < 40; ++i) {
-        works.push_back(SimpleCta(1e8 * (1 + i % 3), 0.0, 1e6 * (i % 5)));
-    }
-    KernelDesc kernel =
-        KernelDesc::FromWorks("k", CtaResources{128, 0.0}, works);
-    SimOptions opts = NoOverhead();
-    opts.placement_jitter = 0.3;
-    opts.seed = 42;
-    FluidEngine e1(spec, opts);
-    FluidEngine e2(spec, opts);
-    EXPECT_DOUBLE_EQ(e1.RunKernel(kernel).total_time,
-                     e2.RunKernel(kernel).total_time);
-}
-
 TEST(FluidEngine, RefillChainsWorkOnOneLane)
 {
     // Persistent-threads support: a single CTA lane executes three

@@ -6,11 +6,10 @@
  *
  * A minimal SimulationBase derivative drives random dispatch/retire
  * sequences of two co-resident kernels over 8, 108 and 132 SMs (one,
- * two and three bitset words), with and without placement jitter and
- * with per-kernel CTA limits. Before every placement the reference
- * scan runs on copies of the round-robin pointer and the RNG; the
- * indexed pick must choose the same SM (or fail the same way), leave
- * the same pointer and consume the same RNG draws. After every step
+ * two and three bitset words), with and without per-kernel CTA
+ * limits. Before every placement the reference scan runs on a copy of
+ * the round-robin pointer; the indexed pick must choose the same SM
+ * (or fail the same way) and leave the same pointer. After every step
  * every fit bit must equal a fresh Fits() evaluation.
  */
 #include <gtest/gtest.h>
@@ -38,33 +37,20 @@ class PlacementHarness : public SimulationBase<PlacementHarness>
     {
     }
 
-    /** The pre-index placement: linear scan from the pointer. */
+    /** The pre-index placement: linear first-fit from the pointer. */
     int
-    ReferencePick(int kernel_id, int& rr, Rng& rng) const
+    ReferencePick(int kernel_id, int& rr) const
     {
         const KernelDesc& desc =
             *kernels_[static_cast<size_t>(kernel_id)].desc;
-        int first_fit = -1;
-        int second_fit = -1;
         for (int off = 0; off < spec_.num_sms; ++off) {
             int sm = (rr + off) % spec_.num_sms;
             if (Fits(sms_[static_cast<size_t>(sm)], desc, kernel_id)) {
-                if (first_fit < 0) {
-                    first_fit = sm;
-                    if (options_.placement_jitter <= 0.0) break;
-                } else {
-                    second_fit = sm;
-                    break;
-                }
+                rr = (sm + 1) % spec_.num_sms;
+                return sm;
             }
         }
-        if (first_fit < 0) return -1;
-        int chosen = first_fit;
-        if (second_fit >= 0 && rng.Bernoulli(options_.placement_jitter)) {
-            chosen = second_fit;
-        }
-        rr = (chosen + 1) % spec_.num_sms;
-        return chosen;
+        return -1;
     }
 
     /** Every fit bit equals a fresh Fits() evaluation. */
@@ -96,7 +82,6 @@ class PlacementHarness : public SimulationBase<PlacementHarness>
     using Base::DispatchOne;
     using Base::RetireCta;
     using Base::ctas_;
-    using Base::rng_;
     using Base::rr_pointer_;
 
   private:
@@ -136,7 +121,6 @@ GridKernel(const std::string& name, int ctas, int threads, double smem,
 struct PlacementCase
 {
     int num_sms;
-    double jitter;
     int limit_a;
     int limit_b;
 };
@@ -154,8 +138,6 @@ RunRandomPlacements(const PlacementCase& c, uint64_t seed)
     GpuSpec spec = GpuSpec::A100Sxm80GB();
     spec.num_sms = c.num_sms;
     SimOptions options;
-    options.seed = seed;
-    options.placement_jitter = c.jitter;
 
     // Two kernels on separate streams, both resident at once, with
     // different footprints so one can fit where the other cannot.
@@ -177,8 +159,7 @@ RunRandomPlacements(const PlacementCase& c, uint64_t seed)
             int kid = static_cast<int>(walk.UniformInt(0, 1));
             if (!sim.HasCtasLeft(kid)) kid = 1 - kid;
             int rr = sim.rr_pointer_;
-            Rng rng = sim.rng_;
-            int expected = sim.ReferencePick(kid, rr, rng);
+            int expected = sim.ReferencePick(kid, rr);
             size_t ctas_before = sim.ctas_.size();
             bool placed = sim.DispatchOne(kid, 0.0);
             ++stats.placements;
@@ -193,12 +174,6 @@ RunRandomPlacements(const PlacementCase& c, uint64_t seed)
                 live.push_back(static_cast<int>(ctas_before));
             }
             EXPECT_EQ(sim.rr_pointer_, rr) << "step " << step;
-            // Same draws consumed: both streams continue identically.
-            Rng next_ref = rng;
-            Rng next_sim = sim.rng_;
-            EXPECT_EQ(next_sim.UniformInt(0, 1 << 30),
-                      next_ref.UniformInt(0, 1 << 30))
-                << "step " << step;
         } else {
             size_t pick = static_cast<size_t>(walk.UniformInt(
                 0, static_cast<int64_t>(live.size()) - 1));
@@ -215,14 +190,12 @@ RunRandomPlacements(const PlacementCase& c, uint64_t seed)
 TEST(PlacementIndexTest, MatchesLinearScanAcrossWordCounts)
 {
     const PlacementCase cases[] = {
-        {8, 0.0, 0, 0},     {8, 0.3, 2, 1},     {108, 0.0, 3, 0},
-        {108, 0.3, 0, 2},   {132, 0.0, 2, 1},   {132, 0.3, 3, 0},
-        {108, 0.3, 1, 1},   {132, 0.3, 0, 0},
+        {8, 0, 0},   {8, 2, 1},   {108, 3, 0}, {108, 0, 2},
+        {132, 2, 1}, {132, 3, 0}, {108, 1, 1}, {132, 0, 0},
     };
     for (const auto& c : cases) {
         for (uint64_t seed = 1; seed <= 3; ++seed) {
             SCOPED_TRACE("sms=" + std::to_string(c.num_sms) +
-                         " jitter=" + std::to_string(c.jitter) +
                          " limits=" + std::to_string(c.limit_a) + "/" +
                          std::to_string(c.limit_b) +
                          " seed=" + std::to_string(seed));

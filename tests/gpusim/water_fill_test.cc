@@ -1,8 +1,7 @@
 /**
  * @file
- * Direct unit tests of the max-min fair water-filling allocator and
- * of the engine's placement randomness (PickSm jitter) — previously
- * exercised only indirectly through full simulations.
+ * Direct unit tests of the max-min fair water-filling allocator —
+ * previously exercised only indirectly through full simulations.
  */
 #include "gpusim/water_fill.h"
 
@@ -97,91 +96,6 @@ TEST(WaterFillTest, AllocationsNeverExceedCapOrCapacity)
         total += rates[uid];
     }
     EXPECT_LE(total, 20.0 + 1e-12);
-}
-
-// ---- PickSm placement-jitter determinism ----
-
-/**
- * A kernel whose per-CTA work varies and whose CTAs share SMs in
- * pairs: jitter then changes which works contend for the same SM's
- * cores, which is visible in completion times (with one CTA per
- * identical SM, jitter would only permute interchangeable slots).
- */
-KernelDesc
-AsymmetricKernel(int ctas)
-{
-    std::vector<CtaWork> works;
-    for (int i = 0; i < ctas; ++i) {
-        CtaWork w;
-        WorkUnit u;
-        u.op = OpClass::kCompute;
-        u.warps = 8;
-        Phase ph;
-        ph.tensor_flops = 5e8 + 4e7 * i;
-        ph.cuda_flops = 1e7;
-        ph.mem_bytes = 1e6;
-        u.phases.push_back(ph);
-        w.units.push_back(std::move(u));
-        works.push_back(std::move(w));
-    }
-    KernelDesc k = KernelDesc::FromWorks(
-        "asymmetric", CtaResources{512, 32768.0}, std::move(works));
-    k.max_ctas_per_sm = 2;
-    return k;
-}
-
-TEST(PickSmJitterTest, FixedSeedIsBitwiseReproducible)
-{
-    SimOptions opt;
-    opt.seed = 1234;
-    opt.placement_jitter = 0.5;
-    opt.record_cta_times = true;
-
-    GpuSpec spec = GpuSpec::A100Sxm80GB();
-    SimResult a = FluidEngine(spec, opt).RunKernel(AsymmetricKernel(300));
-    SimResult b = FluidEngine(spec, opt).RunKernel(AsymmetricKernel(300));
-
-    EXPECT_EQ(a.total_time, b.total_time);
-    EXPECT_EQ(a.energy_joules, b.energy_joules);
-    ASSERT_EQ(a.cta_finish_times.size(), b.cta_finish_times.size());
-    for (size_t i = 0; i < a.cta_finish_times.size(); ++i) {
-        EXPECT_EQ(a.cta_finish_times[i], b.cta_finish_times[i]);
-    }
-}
-
-TEST(PickSmJitterTest, SeedChangesPlacementUnderJitter)
-{
-    GpuSpec spec = GpuSpec::A100Sxm80GB();
-    std::vector<double> totals;
-    for (uint64_t seed = 1; seed <= 8; ++seed) {
-        SimOptions opt;
-        opt.seed = seed;
-        opt.placement_jitter = 0.5;
-        totals.push_back(FluidEngine(spec, opt)
-                             .RunKernel(AsymmetricKernel(300))
-                             .total_time);
-    }
-    // With jitter active and asymmetric work, at least one of eight
-    // seeds lands a different schedule.
-    bool any_different = false;
-    for (double t : totals) {
-        if (t != totals.front()) any_different = true;
-    }
-    EXPECT_TRUE(any_different);
-}
-
-TEST(PickSmJitterTest, ZeroJitterIgnoresSeed)
-{
-    GpuSpec spec = GpuSpec::A100Sxm80GB();
-    SimOptions a;
-    a.seed = 1;
-    SimOptions b;
-    b.seed = 999;  // different seed, jitter disabled
-    double ta =
-        FluidEngine(spec, a).RunKernel(AsymmetricKernel(200)).total_time;
-    double tb =
-        FluidEngine(spec, b).RunKernel(AsymmetricKernel(200)).total_time;
-    EXPECT_EQ(ta, tb);
 }
 
 }  // namespace

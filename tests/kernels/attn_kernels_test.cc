@@ -9,6 +9,7 @@
 
 #include "gpusim/engine.h"
 #include "gpusim/gpu_spec.h"
+#include "kernels/sm_aware.h"
 
 namespace pod::kernels {
 namespace {
@@ -59,8 +60,10 @@ TEST(BatchedKernel, InterleavesBothSides)
     UnitGeometry decode =
         BuildDecodeAsPrefillUnits(Shape4x2(), DecodeItem::Uniform(3, 1024),
                                   opts);
-    gpusim::KernelDesc kernel =
-        MakeBatchedPrefillKernel("b", prefill, decode);
+    // FI_Batched's assembly (core/attention.cc).
+    gpusim::KernelDesc kernel = MakeCtaParallelKernel(
+        "b", prefill.resources, OneCtaPerUnit(prefill),
+        OneCtaPerUnit(decode));
     EXPECT_EQ(kernel.cta_count, static_cast<int>(prefill.units.size() +
                                                  decode.units.size()));
     int prefill_seen = 0;

@@ -187,7 +187,7 @@ TEST(SplitHeuristics, FlashDecodingFillsDevice)
     // Context bound: can't split 300 tokens 4 ways at 256 min.
     EXPECT_EQ(FlashDecodingSplits(32, 300, 108), 1);
     // Max splits cap.
-    EXPECT_EQ(FlashDecodingSplits(1, 1 << 20, 10000, 256, 16), 16);
+    EXPECT_EQ(FlashDecodingSplits(1, 1 << 20, 10000), 16);
     EXPECT_EQ(FlashDecodingSplits(0, 100, 108), 1);
 }
 

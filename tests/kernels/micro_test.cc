@@ -25,15 +25,10 @@ Gpu()
 
 TEST(Micro, CalibrationBalancedAt100Iters)
 {
-    MicroParams params;
-    params.compute_iters = 100;
-    params.memory_iters = 100;
     double serial =
-        RunMicroStrategy(FusionStrategy::kSerial, params, Gpu(),
-                         NoOverhead());
+        RunMicroStrategy(FusionStrategy::kSerial, 100, Gpu(), NoOverhead());
     double oracle =
-        RunMicroStrategy(FusionStrategy::kOracle, params, Gpu(),
-                         NoOverhead());
+        RunMicroStrategy(FusionStrategy::kOracle, 100, Gpu(), NoOverhead());
     // Both kernels calibrated to ~1 ms: serial ~2 ms, oracle ~1 ms.
     EXPECT_NEAR(serial, 2e-3, 0.2e-3);
     EXPECT_NEAR(oracle, 1e-3, 0.1e-3);
@@ -41,27 +36,22 @@ TEST(Micro, CalibrationBalancedAt100Iters)
 
 TEST(Micro, SerialIsSumOracleIsMax)
 {
-    MicroParams params;
-    params.compute_iters = 150;
-    params.memory_iters = 100;
-    double serial = RunMicroStrategy(FusionStrategy::kSerial, params,
-                                     Gpu(), NoOverhead());
-    double oracle = RunMicroStrategy(FusionStrategy::kOracle, params,
-                                     Gpu(), NoOverhead());
+    double serial =
+        RunMicroStrategy(FusionStrategy::kSerial, 150, Gpu(), NoOverhead());
+    double oracle =
+        RunMicroStrategy(FusionStrategy::kOracle, 150, Gpu(), NoOverhead());
     EXPECT_NEAR(serial, 2.5e-3, 0.25e-3);
     EXPECT_NEAR(oracle, 1.5e-3, 0.15e-3);
 }
 
 TEST(Micro, SmAwareNearOracle)
 {
-    MicroParams params;
     for (int iters : {60, 100, 160}) {
-        params.compute_iters = iters;
         double sm_aware = RunMicroStrategy(FusionStrategy::kSmAwareCta,
-                                           params, Gpu(), NoOverhead());
-        double oracle = RunMicroStrategy(FusionStrategy::kOracle, params,
+                                           iters, Gpu(), NoOverhead());
+        double oracle = RunMicroStrategy(FusionStrategy::kOracle, iters,
                                          Gpu(), NoOverhead());
-        double serial = RunMicroStrategy(FusionStrategy::kSerial, params,
+        double serial = RunMicroStrategy(FusionStrategy::kSerial, iters,
                                          Gpu(), NoOverhead());
         EXPECT_GE(sm_aware, oracle * 0.99);
         // Within 25% of the oracle, far better than serial.
@@ -74,11 +64,8 @@ TEST(Micro, StrategyOrderingMatchesPaper)
 {
     // At the balanced point: serial slowest; streams/CTA marginal;
     // intra-thread in between; SM-aware close to optimal (Fig. 7).
-    MicroParams params;
-    params.compute_iters = 100;
-    params.memory_iters = 100;
-    auto run = [&](FusionStrategy s) {
-        return RunMicroStrategy(s, params, Gpu(), NoOverhead());
+    auto run = [](FusionStrategy s) {
+        return RunMicroStrategy(s, 100, Gpu(), NoOverhead());
     };
     double serial = run(FusionStrategy::kSerial);
     double streams = run(FusionStrategy::kStreams);
@@ -104,11 +91,9 @@ TEST(Micro, StrategyOrderingMatchesPaper)
 
 TEST(Micro, MonotonicInComputeIters)
 {
-    MicroParams params;
     double prev = 0.0;
     for (int iters : {40, 80, 120, 160, 200}) {
-        params.compute_iters = iters;
-        double t = RunMicroStrategy(FusionStrategy::kSmAwareCta, params,
+        double t = RunMicroStrategy(FusionStrategy::kSmAwareCta, iters,
                                     Gpu(), NoOverhead());
         EXPECT_GE(t, prev * 0.999);
         prev = t;
@@ -125,9 +110,7 @@ TEST(Micro, StrategyNames)
 
 TEST(MicroDeathTest, RejectsNonPositiveIters)
 {
-    MicroParams params;
-    params.compute_iters = 0;
-    EXPECT_EXIT(RunMicroStrategy(FusionStrategy::kSerial, params, Gpu()),
+    EXPECT_EXIT(RunMicroStrategy(FusionStrategy::kSerial, 0, Gpu()),
                 ::testing::ExitedWithCode(1), "FATAL");
 }
 

@@ -120,9 +120,7 @@ TEST(AttnCostIdentityTest, SimOptionsComparesEveryField)
     ExpectEachFieldCompared<gpusim::SimOptions>(
         gpusim::SimOptions{},
         {
-            {"seed", [](auto& o) { o.seed += 1; }},
             {"record_cta_times", [](auto& o) { o.record_cta_times = true; }},
-            {"placement_jitter", [](auto& o) { o.placement_jitter = 0.1; }},
             {"kernel_launch_overhead",
              [](auto& o) { o.kernel_launch_overhead *= 2; }},
             {"core",
@@ -183,7 +181,8 @@ TEST(AttnCostIdentityTest, ServingConfigFieldsAreClassified)
         {"gpu", [](auto& c) { c.gpu = gpusim::GpuSpec::H100Sxm80GB(); }},
         {"tensor_parallel", [](auto& c) { c.tensor_parallel = 1; }},
         {"backend", [](auto& c) { c.backend = core::Backend::kFaSerial; }},
-        {"attn_options", [](auto& c) { c.attn_options.sim.seed += 1; }},
+        {"attn_options",
+         [](auto& c) { c.attn_options.sim.kernel_launch_overhead *= 2; }},
     };
     const Perturbations<ServingConfig> keeps = {
         {"kv_block_size", [](auto& c) { c.kv_block_size = 32; }},

@@ -88,13 +88,12 @@ TEST(KvLedgerTest, FailedGrowthChangesNothing)
     ASSERT_TRUE(kv.TryAdmit(MakeState(2, 128, 8)));  // the other 8
     a.prefilled = 32;
     a.decoded = 1;  // the first output token needs a third block
-    EXPECT_FALSE(kv.CanAppend(a));
+    EXPECT_FALSE(kv.TryAppend(a));
     EXPECT_EQ(kv.Held(1), 2);
     EXPECT_EQ(kv.FreeBlocks(), 0);
 
     kv.Release(2);
-    ASSERT_TRUE(kv.CanAppend(a));
-    kv.Append(a);
+    ASSERT_TRUE(kv.TryAppend(a));
     EXPECT_EQ(kv.Held(1), 3);
     EXPECT_EQ(kv.UsedBlocks(), 3);
     kv.AuditLedger();
@@ -108,7 +107,7 @@ TEST(KvLedgerTest, SwapInNeedsTheExactFootprint)
     a.phase = Phase::kRunning;
     a.prefilled = 48;
     a.decoded = 1;
-    kv.Append(a);  // 4th block for the first output token
+    ASSERT_TRUE(kv.TryAppend(a));  // 4th block for the first output token
     ASSERT_EQ(kv.Evict(a, PreemptMode::kSwap), 4);
     a.phase = Phase::kPreemptedSwapped;
     kv.AuditLedger();
@@ -200,7 +199,7 @@ TEST(KvLedgerDeathTest, GrowWithoutReservation)
     a.phase = Phase::kRunning;
     a.prefilled = 16;
     a.decoded = 1;
-    EXPECT_EXIT(kv.Append(a), ::testing::ExitedWithCode(1), "FATAL");
+    EXPECT_EXIT(kv.TryAppend(a), ::testing::ExitedWithCode(1), "FATAL");
 }
 
 // ---- shared account (prefix cache; docs/DESIGN.md S2.6) ----
@@ -253,6 +252,48 @@ TEST(KvLedgerSharedTest, PrefillCompleteDropsDuplicatePrivateBlocks)
     kv.Release(1);
     kv.Release(2);
     EXPECT_EQ(kv.UsedBlocks(), 6);
+    kv.AuditLedger();
+}
+
+TEST(KvLedgerSharedTest, TryAppendEvictsOnlyWhenGrowthFits)
+{
+    KvAllocator kv = Watermark(10, PreemptMode::kRecompute, true);
+    // Two dead cache blocks: "old" is cached, then released.
+    RequestState old = SharedPromptState(1, "old", 32);
+    ASSERT_TRUE(kv.TryAdmit(old));
+    old.phase = Phase::kRunning;
+    old.prefilled = 32;
+    kv.OnPrefillComplete(old);
+    kv.Release(1);
+    ASSERT_EQ(kv.Cache()->EvictableBlocks(), 2);
+
+    // A private 8-block prompt fills the rest of the pool.
+    RequestState a = SharedPromptState(2, "new", 128);
+    ASSERT_TRUE(kv.TryAdmit(a));
+    a.phase = Phase::kRunning;
+    a.prefilled = 128;
+    ASSERT_EQ(kv.FreeBlocks(), 0);
+    const prefix::PrefixCacheStats before = kv.Cache()->Stats();
+
+    // Growing to 11 blocks needs 3, but only 2 could be reclaimed:
+    // nothing may be evicted for a growth that fails anyway.
+    a.decoded = 40;
+    EXPECT_FALSE(kv.TryAppend(a));
+    EXPECT_EQ(kv.FreeBlocks(), 0);
+    EXPECT_EQ(kv.Cache()->EvictableBlocks(), 2);
+    EXPECT_EQ(kv.Cache()->Stats().evicted_blocks, before.evicted_blocks);
+    EXPECT_EQ(kv.Cache()->Stats().cached_blocks, before.cached_blocks);
+    EXPECT_EQ(kv.Held(2), 8);
+    kv.AuditLedger();
+
+    // Growing to 10 blocks needs exactly the 2 dead ones.
+    a.decoded = 20;
+    EXPECT_TRUE(kv.TryAppend(a));
+    EXPECT_EQ(kv.Held(2), 10);
+    EXPECT_EQ(kv.FreeBlocks(), 0);
+    EXPECT_EQ(kv.Cache()->EvictableBlocks(), 0);
+    EXPECT_EQ(kv.Cache()->Stats().evicted_blocks,
+              before.evicted_blocks + 2);
     kv.AuditLedger();
 }
 

@@ -84,19 +84,17 @@ TEST(WatermarkKvAllocatorTest, AppendAllocatesAtBlockBoundaries)
     // First decode token lands at position 16 -> a new block.
     state.prefilled = 16;
     state.decoded = 1;
-    ASSERT_TRUE(kv.CanAppend(state));
-    kv.Append(state);
+    ASSERT_TRUE(kv.TryAppend(state));
     EXPECT_EQ(kv.Held(0), 2);
 
     // Tokens 17..31 stay inside the second block: no allocation.
     for (state.decoded = 2; state.decoded <= 15; ++state.decoded) {
-        ASSERT_TRUE(kv.CanAppend(state));
-        kv.Append(state);
+        ASSERT_TRUE(kv.TryAppend(state));
         EXPECT_EQ(kv.Held(0), 2);
     }
     // Token at position 32 crosses into a third block.
     state.decoded = 16;
-    kv.Append(state);
+    ASSERT_TRUE(kv.TryAppend(state));
     EXPECT_EQ(kv.Held(0), 3);
 }
 
@@ -114,11 +112,11 @@ TEST(WatermarkKvAllocatorTest, CanAppendFalseOnlyWhenPoolExhausted)
     // `a` needs a new block for its first decode token: blocked.
     a.prefilled = 16;
     a.decoded = 1;
-    EXPECT_FALSE(kv.CanAppend(a));
+    EXPECT_FALSE(kv.TryAppend(a));
 
     // Evicting `b` frees the block `a` needs.
     EXPECT_EQ(kv.Evict(b, PreemptMode::kRecompute), 2);
-    EXPECT_TRUE(kv.CanAppend(a));
+    EXPECT_TRUE(kv.TryAppend(a));
 }
 
 TEST(WatermarkKvAllocatorTest, SwapEvictRestoresExactFootprint)
@@ -129,7 +127,7 @@ TEST(WatermarkKvAllocatorTest, SwapEvictRestoresExactFootprint)
     state.phase = Phase::kRunning;
     state.prefilled = 48;
     state.decoded = 1;
-    kv.Append(state);  // 4th block for the first output token
+    ASSERT_TRUE(kv.TryAppend(state));  // 4th block for the first output token
     ASSERT_EQ(kv.Held(0), 4);
 
     EXPECT_EQ(kv.Evict(state, PreemptMode::kSwap), 4);

@@ -548,8 +548,7 @@ RunWatermarkLifecycle(PreemptMode mode, bool prefix_cache)
             preempt(s);
             ++preemptions;
         } else if (s.decoded < s.request.decode_tokens) {
-            if (alloc.CanAppend(s)) {
-                alloc.Append(s);
+            if (alloc.TryAppend(s)) {
                 ++s.decoded;
                 if (s.decoded >= s.request.decode_tokens) {
                     alloc.Release(s.request.id);
@@ -632,8 +631,7 @@ RunConservativeLifecycle(bool prefix_cache)
             alloc.OnPrefillComplete(s);
         } else {
             // Conservative reservations cover every decode token.
-            ASSERT_TRUE(alloc.CanAppend(s));
-            alloc.Append(s);
+            ASSERT_TRUE(alloc.TryAppend(s));
             if (++s.decoded >= s.request.decode_tokens) {
                 alloc.Release(s.request.id);
                 s.phase = Phase::kFinished;

@@ -97,16 +97,17 @@ RefScheduleDecodes(std::vector<RequestState>& requests, KvAllocator& kv,
     size_t hi = running.size();
     while (lo < hi) {
         RequestState& state = requests[static_cast<size_t>(running[lo])];
-        while (!kv.CanAppend(state) && hi - lo > 1) {
+        bool appended = kv.TryAppend(state);
+        while (!appended && hi - lo > 1) {
             --hi;
             RefPreempt(requests, running[hi], kv, decision);
+            appended = kv.TryAppend(state);
         }
-        if (!kv.CanAppend(state)) {
+        if (!appended) {
             RefPreempt(requests, running[lo], kv, decision);
             ++lo;
             continue;
         }
-        kv.Append(state);
         decision.batch.decodes.push_back(running[lo]);
         ++lo;
         if (static_cast<int>(decision.batch.decodes.size()) >=
